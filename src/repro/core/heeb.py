@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..streams.base import History, StreamModel, Value
+from ..streams.stationary import StationaryStream
 from .ecb import ECB
 from .first_reference import first_reference_probs
 from .lifetime import LifetimeEstimator
@@ -34,6 +35,7 @@ __all__ = [
     "heeb_join_band",
     "heeb_cache",
     "heeb_cache_batch",
+    "stationary_heeb_table",
     "default_horizon",
 ]
 
@@ -67,6 +69,34 @@ def heeb_join(
         [partner.prob(t0 + dt, value, history) for dt in range(1, h + 1)]
     )
     return float(np.dot(probs, weights))
+
+
+def stationary_heeb_table(
+    partner: StationaryStream,
+    estimator: LifetimeEstimator,
+    horizon: int | None = None,
+) -> tuple[int, np.ndarray]:
+    """:func:`heeb_join` over an i.i.d. partner's support, as a dense table.
+
+    For a stationary partner ``Pr{X_{t0+Δt} = v}`` is the same at every
+    step, so ``H`` depends on the value alone (the time-invariant case of
+    Corollaries 3–4) and one table answers every query of a run.  Returns
+    ``(lo, values)`` with ``values[i]`` the ``H`` of value ``lo + i``;
+    values outside the table have ``H = 0``.  Each entry is the dot
+    product :func:`heeb_join` takes — the same constant probability vector
+    against the same weights, hence the same float — but the probability
+    is read once per value instead of once per look-ahead step.
+    """
+    h = default_horizon(estimator) if horizon is None else horizon
+    weights = estimator.weights(h)
+    lo, hi = partner.dist.min_value, partner.dist.max_value
+    values = np.array(
+        [
+            float(np.dot(np.full(h, partner.prob(1, v)), weights))
+            for v in range(lo, hi + 1)
+        ]
+    )
+    return lo, values
 
 
 def heeb_join_batch(

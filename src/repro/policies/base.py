@@ -334,6 +334,29 @@ class ScoredPolicy(ReplacementPolicy):
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         """Desirability of keeping ``tup`` (higher is better)."""
 
+    def score_many(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        """:meth:`score` of every candidate, in candidate order.
+
+        Subclasses whose scores share per-step work (one history lookup,
+        one vectorized table or spline evaluation) override this; the
+        result must equal ``[self.score(t, ctx) for t in candidates]``
+        bit for bit.
+        """
+        return [self.score(tup, ctx) for tup in candidates]
+
+    @staticmethod
+    def _rank(
+        candidates: Sequence[StreamTuple], scores: Sequence[float], n: int
+    ) -> tuple[list[StreamTuple], float]:
+        """The ``n`` lowest candidates by ``(score, uid)``, and the cutoff.
+
+        The cutoff is the best score that still got evicted.
+        """
+        ranked = sorted(zip(scores, [tup.uid for tup in candidates], candidates))
+        return [tup for _, _, tup in ranked[:n]], ranked[n - 1][0]
+
     def select_victims(
         self,
         candidates: Sequence[StreamTuple],
@@ -344,37 +367,33 @@ class ScoredPolicy(ReplacementPolicy):
             return self._select_with_admission(candidates, n_evict, ctx)
         if n_evict <= 0:
             return []
+        scores = self.score_many(candidates, ctx)
         rec = ctx.recorder
+        if rec.enabled and rec.trace:
+            # Snapshot every candidate's score (the per-candidate
+            # ECB/HEEB values for the model-aware policies) before
+            # ranking, so a trace can answer "why was X evicted at t?".
+            rec.event(
+                "scores",
+                ctx.time,
+                policy=self.name,
+                candidates=[
+                    {
+                        "uid": tup.uid,
+                        "side": tup.side,
+                        "value": tup.value,
+                        "score": score,
+                    }
+                    for tup, score in zip(candidates, scores)
+                ],
+            )
+        victims, cutoff = self._rank(candidates, scores, n_evict)
         if rec.enabled:
-            scored = [(self.score(tup, ctx), tup.uid, tup) for tup in candidates]
-            if rec.trace:
-                # Snapshot every candidate's score (the per-candidate
-                # ECB/HEEB values for the model-aware policies) before
-                # ranking, so a trace can answer "why was X evicted at t?".
-                rec.event(
-                    "scores",
-                    ctx.time,
-                    policy=self.name,
-                    candidates=[
-                        {
-                            "uid": tup.uid,
-                            "side": tup.side,
-                            "value": tup.value,
-                            "score": score,
-                        }
-                        for score, _, tup in scored
-                    ],
-                )
-            ranked = sorted(scored)
-            # Eviction threshold over time: the best score that still got
-            # evicted.  The batch engine mirrors this series for every
-            # exactly-scored adapter (trace events stay scalar-only).
-            rec.series("scores.cutoff", ctx.time, ranked[n_evict - 1][0])
-            return [tup for _, _, tup in ranked[:n_evict]]
-        ranked = sorted(
-            candidates, key=lambda tup: (self.score(tup, ctx), tup.uid)
-        )
-        return ranked[:n_evict]
+            # Eviction threshold over time.  The batch engine mirrors
+            # this series for every scored adapter (trace events stay
+            # scalar-only).
+            rec.series("scores.cutoff", ctx.time, cutoff)
+        return victims
 
     def _select_with_admission(
         self,
@@ -395,35 +414,26 @@ class ScoredPolicy(ReplacementPolicy):
         assert admission is not None
         t = ctx.time
         rec = ctx.recorder
-        new_scores: dict[int, float] = {}
-        rejected: list[StreamTuple] = []
-        for tup in candidates:
-            if tup.arrival == t:
-                score = self.score(tup, ctx)
-                new_scores[tup.uid] = score
-                if not admission.admit(tup.value, score):
-                    rejected.append(tup)
-        victims = list(rejected)
-        n_more = n_evict - len(rejected)
+        new = [tup for tup in candidates if tup.arrival == t]
+        kept: list[StreamTuple] = []
+        kept_scores: list[float] = []
+        victims: list[StreamTuple] = []
+        for tup, score in zip(new, self.score_many(new, ctx)):
+            if admission.admit(tup.value, score):
+                kept.append(tup)
+                kept_scores.append(score)
+            else:
+                victims.append(tup)
+        n_more = n_evict - len(victims)
         if n_more > 0:
-            rejected_uids = {tup.uid for tup in rejected}
-            scored = [
-                (
-                    new_scores[tup.uid]
-                    if tup.uid in new_scores
-                    else self.score(tup, ctx),
-                    tup.uid,
-                    tup,
-                )
-                for tup in candidates
-                if tup.uid not in rejected_uids
-            ]
-            ranked = sorted(scored)
-            cutoff = ranked[n_more - 1][0]
+            old = [tup for tup in candidates if tup.arrival != t]
+            ranked, cutoff = self._rank(
+                kept + old, kept_scores + self.score_many(old, ctx), n_more
+            )
             admission.update_cutoff(cutoff)
             if rec.enabled:
                 rec.series("scores.cutoff", t, cutoff)
-            victims.extend(tup for _, _, tup in ranked[:n_more])
+            victims.extend(ranked)
         if rec.enabled:
             rec.series("admission.rejects.cum", t, admission.rejects)
             rec.series("sketch.fp_rate", t, admission.fp_rate())

@@ -47,7 +47,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.heeb import heeb_cache, heeb_join, heeb_join_band
+from ..core.heeb import (
+    heeb_cache,
+    heeb_join,
+    heeb_join_band,
+    stationary_heeb_table,
+)
 from ..core.lifetime import LExp, WindowedLExp
 from ..core.precompute import H1Table, H2Surface
 from ..flow.fastpath import LookaheadTemplate
@@ -153,12 +158,6 @@ class BatchPolicy(abc.ABC):
     #: engine pick the ``n_evict`` lowest (score, uid) slots per trial.
     #: Non-scored adapters implement :meth:`select` directly.
     scored: bool = True
-
-    #: Whether :meth:`scores` returns the *bit-identical* floats the
-    #: scalar policy computes.  The engine only mirrors the scalar
-    #: ``scores.cutoff`` series for exactly-scored adapters (the one
-    #: tolerance-level adapter, :class:`BatchSurfaceHeeb`, opts out).
-    exact_scores: bool = True
 
     def reset(self, n_trials: int, n_slots: int) -> None:
         """Allocate per-run state before a batch run starts."""
@@ -633,9 +632,9 @@ class BatchStationaryJoinHeeb(BatchPolicy):
     """Generic joining HEEB specialized to stationary partners.
 
     For i.i.d. streams ``H`` depends on the candidate's value only, so
-    the scalar ``heeb_join`` is evaluated once per support value into a
-    dense table (identical floats for every query time) and scoring is a
-    pure array lookup.
+    scoring is a pure lookup into the
+    :func:`~repro.core.heeb.stationary_heeb_table` the scalar strategy
+    memoizes (identical floats for every query time).
     """
 
     name = "HEEB"
@@ -646,21 +645,13 @@ class BatchStationaryJoinHeeb(BatchPolicy):
         r_model: StationaryStream,
         s_model: StationaryStream,
     ):
-        self._lo_for_r, self._tab_for_r = self._build(strategy, s_model)
-        self._lo_for_s, self._tab_for_s = self._build(strategy, r_model)
-
-    @staticmethod
-    def _build(
-        strategy: GenericJoinHeeb, partner: StationaryStream
-    ) -> tuple[int, np.ndarray]:
-        lo, hi = partner.dist.min_value, partner.dist.max_value
-        values = np.array(
-            [
-                heeb_join(partner, 0, v, strategy.estimator, strategy.horizon)
-                for v in range(lo, hi + 1)
-            ]
+        est, horizon = strategy.estimator, strategy.horizon
+        self._lo_for_r, self._tab_for_r = stationary_heeb_table(
+            s_model, est, horizon
         )
-        return lo, values
+        self._lo_for_s, self._tab_for_s = stationary_heeb_table(
+            r_model, est, horizon
+        )
 
     def scores(self, state, t: int) -> np.ndarray:
         sc_r = _dense_lookup(self._tab_for_r, self._lo_for_r, state.val)
@@ -854,15 +845,15 @@ class BatchSurfaceHeeb(BatchPolicy):
     """AR(1) HEEB via the precomputed ``h2`` spline surface (Theorem 5(1)).
 
     Uses pointwise spline evaluation
-    (:meth:`~repro.core.precompute.H2Surface.evaluate_many`); agrees with
-    the scalar strategies to floating-point evaluation order, which is
-    close but not guaranteed bit-identical — the one adapter outside the
-    bit-exactness guarantee (hence ``exact_scores = False``: the engine
-    does not mirror the scalar ``scores.cutoff`` series for it).
+    (:meth:`~repro.core.precompute.H2Surface.evaluate_many`) with anchor
+    ``last * bucket`` — the same call and the same operands as the scalar
+    :class:`~repro.policies.heeb_policy.AR1CacheHeeb` /
+    :class:`~repro.policies.heeb_policy.AR1JoinHeeb` ``h_values``, so
+    scores (and the mirrored ``scores.cutoff`` series) are bit-identical
+    to the scalar tier.
     """
 
     name = "HEEB"
-    exact_scores = False
 
     def __init__(self, surface: H2Surface, model: AR1Stream, kind: str):
         self._surface = surface
@@ -1462,27 +1453,31 @@ class BatchMultiStationaryHeeb(BatchMultiPolicy):
 
     Appendix C sums the binary benefit over every partner stream; for
     i.i.d. partners each term depends on the candidate's value only, so
-    one dense per-stream table (the scalar ``heeb_join`` summed over the
-    partners in partner order — identical floats for every query time)
-    turns scoring into an array lookup per stream code.
+    one dense per-stream table (each partner's
+    :func:`~repro.core.heeb.stationary_heeb_table` summed in partner
+    order from ``0.0`` — the scalar strategy's float for every query
+    time) turns scoring into an array lookup per stream code.
     """
 
     name = "HEEB"
 
     def __init__(self, strategy: GenericJoinHeeb, models, partner_names):
+        per_partner = {
+            p: stationary_heeb_table(
+                models[p], strategy.estimator, strategy.horizon
+            )
+            for partners in partner_names.values()
+            for p in partners
+        }
         self._tables: dict[str, tuple[int, np.ndarray]] = {}
         for name, partners in partner_names.items():
-            lo = min(models[p].dist.min_value for p in partners)
-            hi = max(models[p].dist.max_value for p in partners)
-            values = []
-            for v in range(lo, hi + 1):
-                total = 0.0
-                for p in partners:
-                    total += heeb_join(
-                        models[p], 0, v, strategy.estimator, strategy.horizon
-                    )
-                values.append(total)
-            self._tables[name] = (lo, np.array(values))
+            lo = min(per_partner[p][0] for p in partners)
+            hi = max(per_partner[p][0] + per_partner[p][1].size for p in partners)
+            total = np.zeros(hi - lo)
+            for p in partners:
+                p_lo, tab = per_partner[p]
+                total[p_lo - lo : p_lo - lo + tab.size] += tab
+            self._tables[name] = (lo, total)
         self._by_code: list[Optional[tuple[int, np.ndarray]]] = []
 
     def bind(self, names, partner_names) -> None:

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.heeb import heeb_cache, heeb_join
+from ..core.heeb import heeb_cache, heeb_join, stationary_heeb_table
 from ..core.lifetime import LExp, LifetimeEstimator, WindowedLExp
 from ..core.precompute import H1Table, H2Surface, random_walk_h1_join
 from ..core.tuples import StreamTuple
 from ..streams.ar1 import AR1Stream
-from ..streams.base import History, Value
+from ..streams.base import History, StreamModel, Value
 from ..streams.linear_trend import LinearTrendStream
 from ..streams.random_walk import RandomWalkStream
+from ..streams.stationary import StationaryStream
 from .base import PolicyContext, ScoredPolicy
 
 __all__ = [
@@ -59,6 +60,17 @@ class HeebStrategy(abc.ABC):
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         """``H`` for one candidate at the current time ``ctx.time``."""
 
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        """``H`` for every candidate of one eviction, in candidate order.
+
+        Strategies that can share work across the candidate set (one
+        history lookup, one vectorized surface evaluation) override this;
+        the result must equal the per-tuple :meth:`h_value` bit for bit.
+        """
+        return [self.h_value(tup, ctx) for tup in candidates]
+
 
 class GenericJoinHeeb(HeebStrategy):
     """Direct summation of the joining ``H`` for any stream model.
@@ -67,11 +79,36 @@ class GenericJoinHeeb(HeebStrategy):
     small runs and as the reference the specialized strategies are tested
     against.  Supports sliding-window semantics by switching to the
     window-clipped ``L_exp`` of Section 7.
+
+    Without a window, ``H`` against an i.i.d. partner is time-invariant
+    (Corollaries 3–4), so each :class:`StationaryStream` partner gets one
+    :func:`~repro.core.heeb.stationary_heeb_table` per run, memoized on
+    the model object and cleared by :meth:`reset`.  Its entries are the
+    floats ``heeb_join`` returns, so scores do not change.
     """
 
     def __init__(self, estimator: LifetimeEstimator, horizon: int | None = None):
         self.estimator = estimator
         self.horizon = horizon
+        self._tables: dict[StreamModel, tuple[int, list[float]]] = {}
+
+    def reset(self, ctx: PolicyContext) -> None:
+        self._tables = {}
+
+    def _stationary_h(self, partner: StationaryStream, value: Value) -> float:
+        """Memoized ``heeb_join`` against an i.i.d. partner (no window)."""
+        if value is None:
+            return 0.0
+        entry = self._tables.get(partner)
+        if entry is None:
+            lo, values = stationary_heeb_table(
+                partner, self.estimator, self.horizon
+            )
+            entry = self._tables[partner] = (lo, values.tolist())
+        lo, table = entry
+        # ``pmf`` reads ``int(value)``; off-table values never match.
+        i = int(value) - lo
+        return table[i] if 0 <= i < len(table) else 0.0
 
     def _estimator_for(self, tup: StreamTuple, ctx: PolicyContext) -> LifetimeEstimator:
         if ctx.window is None:
@@ -87,6 +124,8 @@ class GenericJoinHeeb(HeebStrategy):
         partner = ctx.partner_model(tup.side)
         if partner is None:
             raise ValueError("GenericJoinHeeb needs stream models in context")
+        if ctx.window is None and isinstance(partner, StationaryStream):
+            return self._stationary_h(partner, tup.value)
         history = None
         if not partner.is_independent:
             history = _latest_history(ctx.partner_history(tup.side), ctx.time)
@@ -113,6 +152,9 @@ class GenericJoinHeeb(HeebStrategy):
                 raise ValueError(
                     f"GenericJoinHeeb: no model for stream {name!r}"
                 )
+            if ctx.window is None and isinstance(partner, StationaryStream):
+                total += self._stationary_h(partner, tup.value)
+                continue
             history = None
             if not partner.is_independent:
                 history = ctx.latest_history(name)
@@ -320,6 +362,40 @@ class WalkCacheHeeb(HeebStrategy):
         return self.table(int(tup.value) - int(history.last_value))
 
 
+def _surface_scores(
+    model: AR1Stream,
+    surface: H2Surface,
+    candidates: Sequence[StreamTuple],
+    history_for: Callable[[str], Sequence[Value]],
+    now: int,
+) -> list[float]:
+    """``h2(v_x, x_t0)`` for every candidate in one spline call.
+
+    ``x_t0`` is the latent value of the latest observation in
+    ``history_for(side)``, looked up once per side; a candidate whose
+    history has none scores 0.  This is the
+    :meth:`~repro.core.precompute.H2Surface.evaluate_many` call the batch
+    adapter makes, so both tiers get the same floats.
+    """
+    if not candidates:
+        return []
+    latent: dict[str, float | None] = {}
+    for tup in candidates:
+        if tup.side not in latent:
+            history = _latest_history(history_for(tup.side), now)
+            latent[tup.side] = (
+                None
+                if history is None
+                else model.to_latent(int(history.last_value))
+            )
+    anchors = [latent[tup.side] for tup in candidates]
+    scores = surface.evaluate_many(
+        np.array([float(tup.value) for tup in candidates]),
+        np.array([0.0 if a is None else a for a in anchors]),
+    )
+    return np.where([a is not None for a in anchors], scores, 0.0).tolist()
+
+
 class AR1CacheHeeb(HeebStrategy):
     """Spline-interpolated ``h2`` surface for AR(1) caching (Theorem 5(1)).
 
@@ -333,11 +409,15 @@ class AR1CacheHeeb(HeebStrategy):
         self.surface = surface
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        history = _latest_history(ctx.r_history, ctx.time)
-        if history is None:
-            return 0.0
-        latent_now = self.model.to_latent(int(history.last_value))
-        return self.surface(float(tup.value), latent_now)
+        return self.h_values([tup], ctx)[0]
+
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        return _surface_scores(
+            self.model, self.surface, candidates,
+            lambda side: ctx.r_history, ctx.time,
+        )
 
 
 class AR1JoinHeeb(HeebStrategy):
@@ -354,11 +434,15 @@ class AR1JoinHeeb(HeebStrategy):
         self.surface = surface
 
     def h_value(self, tup: StreamTuple, ctx: PolicyContext) -> float:
-        history = _latest_history(ctx.partner_history(tup.side), ctx.time)
-        if history is None:
-            return 0.0
-        latent_now = self.model.to_latent(int(history.last_value))
-        return self.surface(float(tup.value), latent_now)
+        return self.h_values([tup], ctx)[0]
+
+    def h_values(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        return _surface_scores(
+            self.model, self.surface, candidates,
+            ctx.partner_history, ctx.time,
+        )
 
 
 class BandJoinHeeb(HeebStrategy):
@@ -413,3 +497,8 @@ class HeebPolicy(ScoredPolicy):
 
     def score(self, tup: StreamTuple, ctx: PolicyContext) -> float:
         return self.strategy.h_value(tup, ctx)
+
+    def score_many(
+        self, candidates: Sequence[StreamTuple], ctx: PolicyContext
+    ) -> list[float]:
+        return self.strategy.h_values(candidates, ctx)

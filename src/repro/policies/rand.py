@@ -42,11 +42,13 @@ class RandPolicy(ReplacementPolicy):
         if n_evict <= 0:
             return []
         oracle = ctx.window_oracle
+        dead: list[StreamTuple] = []
+        alive: list[StreamTuple] = []
         if oracle is not None:
-            dead = [c for c in candidates if oracle.is_dead(c, ctx.time)]
-            alive = [c for c in candidates if not oracle.is_dead(c, ctx.time)]
+            for c in candidates:
+                (dead if oracle.is_dead(c, ctx.time) else alive).append(c)
         else:
-            dead, alive = [], list(candidates)
+            alive = list(candidates)
         victims = dead[:n_evict]
         remaining = n_evict - len(victims)
         if remaining > 0:

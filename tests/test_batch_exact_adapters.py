@@ -441,3 +441,80 @@ class TestFlowExpectBatch:
         factory = lambda: FlowExpectPolicy(2, r_model, s_model, fast=True)
         reason = BatchEngine().supports(spec, factory)
         assert reason is not None and "has no exact batch adapter" in reason
+
+
+# ----------------------------------------------------------------------
+# AR(1) h2-surface HEEB on the REAL pipeline
+# ----------------------------------------------------------------------
+def _real_pipeline(n_days=600, seed=0, memory=50):
+    """Figure 13's inputs: temperatures, fitted AR(1), buckets, surface."""
+    from repro.analysis.fitting import fit_ar1
+    from repro.core.precompute import ar1_h2_cache
+    from repro.streams import AR1Stream
+    from repro.streams.melbourne import melbourne_like_temperatures
+
+    temps = melbourne_like_temperatures(n_days, np.random.default_rng(seed))
+    fit = fit_ar1(temps)
+    model = AR1Stream(fit.phi0, fit.phi1, fit.sigma, bucket=0.1)
+    reference = [model.to_bucket(t) for t in temps]
+    lo, hi = min(reference), max(reference)
+    v_grid = np.linspace(lo, hi, 5).round().astype(int)
+    x_grid = np.linspace(lo * 0.1, hi * 0.1, 5)
+    surface = ar1_h2_cache(
+        model, LExp(float(memory)), v_grid, x_grid, exact_steps=60
+    )
+    return model, reference, surface
+
+
+class TestSurfaceHeebExact:
+    """Scalar and batch AR(1) HEEB make the same spline call, so the
+    batch adapter is exactly scored like every other adapter."""
+
+    def test_h_values_equal_batch_scores_bitwise_on_real(self):
+        from repro.core.tuples import StreamTuple
+        from repro.policies.base import PolicyContext
+        from repro.policies.batch import BatchSurfaceHeeb
+        from repro.policies.heeb_policy import AR1CacheHeeb
+        from repro.sim.batch import BatchState
+
+        model, reference, surface = _real_pipeline()
+        values = sorted(set(reference))
+        anchors = values  # every observed bucket is some step's anchor
+        strategy = AR1CacheHeeb(model, surface)
+        state = BatchState.empty(len(anchors), len(values))
+        state.val[:] = values
+        state.last_r[:] = anchors
+        batch = BatchSurfaceHeeb(surface, model, "cache").scores(state, 0)
+        tups = [StreamTuple(i, "R", v, 0) for i, v in enumerate(values)]
+        for row, anchor in enumerate(anchors):
+            ctx = PolicyContext(
+                kind="cache", time=0, cache_size=50, r_history=[anchor],
+                r_model=model,
+            )
+            scalar = np.array(strategy.h_values(tups, ctx))
+            assert scalar.tobytes() == batch[row].tobytes(), anchor
+
+    def test_cutoff_series_parity(self):
+        """AR(1) HEEB's scores.cutoff is mirrored by the batch tier."""
+        from repro.policies.heeb_policy import AR1CacheHeeb
+
+        model, reference, surface = _real_pipeline(n_days=300)
+        refs = [reference[:150], reference[150:]]
+        recs = []
+        for batch in (False, True):
+            rec = CounterRecorder()
+            result = run_cache_experiment(
+                lambda: HeebPolicy(AR1CacheHeeb(model, surface)),
+                refs,
+                cache_size=20,
+                reference_model=model,
+                batch=batch,
+                recorder=rec,
+            )
+            assert result.engine_used == ("batch" if batch else "scalar")
+            recs.append(rec)
+        _assert_snapshot_equal(
+            recs[1].series_data["scores.cutoff"],
+            recs[0].series_data["scores.cutoff"],
+            "scores.cutoff",
+        )

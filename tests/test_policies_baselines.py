@@ -68,6 +68,28 @@ class TestRand:
             victims = p.select_victims([alive, dead], 1, ctx)
             assert victims == [dead]
 
+    def test_window_oracle_asked_once_per_candidate(self):
+        r_model = LinearTrendStream(bounded_uniform(2), speed=1.0)
+        s_model = LinearTrendStream(bounded_uniform(2), speed=1.0)
+        oracle = TrendWindowOracle(r_model, s_model)
+        asked = []
+
+        class CountingOracle:
+            def is_dead(self, tup, t):
+                asked.append(tup.uid)
+                return oracle.is_dead(tup, t)
+
+        candidates = [StreamTuple(i, "R", 40 + 2 * i, 30 + i) for i in range(8)]
+        p = RandPolicy(seed=1)
+        p.reset(make_ctx())
+        victims = p.select_victims(
+            candidates, 6, make_ctx(time=50, oracle=CountingOracle())
+        )
+        assert sorted(asked) == list(range(8))
+        dead = [c for c in candidates if oracle.is_dead(c, 50)]
+        assert 0 < len(dead) < 6
+        assert victims[: len(dead)] == dead
+
 
 class TestProb:
     def test_scores_by_partner_frequency(self):
