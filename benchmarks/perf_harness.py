@@ -658,8 +658,9 @@ def run_serve_bench(
     single-shard replay must reproduce the scalar simulator's result
     count exactly — then times a sharded replay and records ingestion
     throughput (tuples/sec), queue-depth telemetry (high-water mark and
-    the P² p90/p99 of the ``serve.queue_depth`` series), and the p99 of
-    the ``decide`` request-path span from the merged latency histograms.
+    the histogram p90/p99 of the ``serve.queue_depth`` series), and the
+    p99 of the ``decide`` request-path span from the merged latency
+    histograms.
 
     The span machinery's disabled-path contract rides along: replays
     under the shared :data:`~repro.obs.NULL_RECORDER` and an explicit
@@ -667,6 +668,10 @@ def run_serve_bench(
     request path must read no clocks) are interleaved and the *minimum*
     per-round throughput ratio must stay within ``max_null_overhead``
     percent, the same least-noise estimate the FlowExpect bench uses.
+    A :class:`~repro.obs.CounterRecorder` replay joins every round; its
+    minimum time over the NullRecorder minimum is the *enabled*
+    telemetry cost, recorded as ``enabled_overhead_pct`` (measured,
+    not gated).
     """
     from repro.serve import run_replay
     from repro.serve.replay import generate_join_stream
@@ -688,7 +693,7 @@ def run_serve_bench(
             f"{parity.total_results} results, simulator {sim_results}"
         )
 
-    def _one_replay(recorder) -> float:
+    def _one_replay(recorder):
         return run_replay(
             spec,
             factory,
@@ -697,18 +702,23 @@ def run_serve_bench(
             n_shards=n_shards,
             queue_maxsize=queue_maxsize,
             recorder=recorder,
-        ).seconds
+        )
 
     base_seconds = float("inf")
     null_seconds = float("inf")
     null_ratio = float("inf")
+    counter_seconds = float("inf")
     for _ in range(3):
-        round_base = _one_replay(NULL_RECORDER)
-        round_null = _one_replay(NullRecorder())
+        round_base = _one_replay(NULL_RECORDER).seconds
+        round_null = _one_replay(NullRecorder()).seconds
         base_seconds = min(base_seconds, round_base)
         null_seconds = min(null_seconds, round_null)
         null_ratio = min(null_ratio, round_null / round_base)
+        counter_seconds = min(
+            counter_seconds, _one_replay(CounterRecorder()).seconds
+        )
     span_overhead_pct = 100.0 * (null_ratio - 1.0)
+    enabled_overhead_pct = 100.0 * (counter_seconds / null_seconds - 1.0)
     if span_overhead_pct > max_null_overhead:
         raise AssertionError(
             f"disabled-span serve overhead {span_overhead_pct:.2f}% "
@@ -752,6 +762,7 @@ def run_serve_bench(
             else None
         ),
         "span_overhead_pct": round(span_overhead_pct, 2),
+        "enabled_overhead_pct": round(enabled_overhead_pct, 1),
         "backpressure_waits": summary.backpressure_waits,
         "total_results": summary.total_results,
     }
@@ -762,7 +773,8 @@ def run_serve_bench(
         f"max {entry['max_queue_depth']}  "
         f"decide p99 {entry['p99_ms']}ms  "
         f"spans disabled {entry['span_overhead_pct']:+.2f}% "
-        f"(budget {max_null_overhead}%), parity OK"
+        f"(budget {max_null_overhead}%), "
+        f"counters on {entry['enabled_overhead_pct']:+.1f}%, parity OK"
     )
     return entry
 

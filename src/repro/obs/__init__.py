@@ -21,7 +21,7 @@ with zero overhead when disabled:
   (arrivals, victim sets, per-candidate score/arc-cost snapshots,
   occupancy, series points) with a versioned schema;
 * :mod:`repro.obs.timeseries` — the bounded-memory aggregation
-  primitives (downsampling buffer, P²-style quantile sketches,
+  primitives (downsampling buffer, per-series quantile histograms,
   sparklines);
 * :mod:`repro.obs.report` — turns a trace file or a counter snapshot
   into human-readable tables, including ``--series`` sparklines
@@ -32,9 +32,10 @@ with zero overhead when disabled:
   trials-done/ETA line (the experiment CLI's ``--progress``);
 * :mod:`repro.obs.spans` — request-path span timing for the serve tier
   (:class:`SpanTracker`) plus the :data:`KNOWN_SERIES` naming registry;
-* :mod:`repro.obs.hist` — mergeable log-bucketed latency histograms
-  (:class:`LogHistogram`) whose exact merge survives shard fork/merge
-  and live resharding;
+* :mod:`repro.obs.hist` — mergeable log-bucketed histograms
+  (:class:`LogHistogram`), the one quantile primitive behind span
+  latencies and series quantiles alike, whose exact merge survives
+  shard fork/merge and live resharding;
 * :mod:`repro.obs.promtext` — Prometheus text exposition rendering and
   a matching validator/parser for the serve ``/metrics`` endpoint;
 * :mod:`repro.obs.top` — the refreshing per-shard TTY dashboard
@@ -74,7 +75,6 @@ from .report import (
 )
 from .spans import KNOWN_SERIES, SpanTracker, check_series_name
 from .timeseries import (
-    P2Quantile,
     SeriesBuffer,
     TimeSeries,
     sparkline,
@@ -92,7 +92,6 @@ __all__ = [
     "LogHistogram",
     "NULL_RECORDER",
     "NullRecorder",
-    "P2Quantile",
     "ProgressRecorder",
     "Recorder",
     "SeriesBuffer",

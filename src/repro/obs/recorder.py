@@ -14,9 +14,11 @@ Counters are plain integer accumulators keyed by dotted names
 accumulate monotonic wall-clock seconds plus a call count under one
 name; series (:meth:`Recorder.series`) fold per-step gauges like cache
 occupancy into the bounded-memory :class:`~repro.obs.timeseries.TimeSeries`
-aggregates.  Snapshots are plain dicts — JSON-serializable, mergeable,
-and safe to ship across a process boundary, which is how the parallel
-engine folds worker-side counters back into the parent recorder.
+aggregates, whose quantiles come from one mergeable
+:class:`~repro.obs.hist.LogHistogram` per series.  Snapshots are plain
+dicts — JSON-serializable, mergeable, and safe to ship across a process
+boundary, which is how the parallel engine folds worker-side counters
+back into the parent recorder.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ class Recorder(Protocol):
         """Fold the per-step gauge point ``(t, value)`` into ``name``.
 
         Backed by bounded-memory aggregation (fixed-budget downsampling
-        buffer + streaming quantile sketches), so emitting one point per
-        step is safe for arbitrarily long runs.  Call sites guard on
-        :attr:`enabled` like every other instrumentation block.
+        buffer + a fixed-budget log histogram for quantiles), so
+        emitting one point per step is safe for arbitrarily long runs.
+        Call sites guard on :attr:`enabled` like every other
+        instrumentation block.
         """
         ...
 
@@ -223,8 +226,8 @@ class CounterRecorder:
     def merge(self, snapshot: Mapping) -> None:
         """Add a :meth:`snapshot`'s counters/timers/series into this one.
 
-        Series aggregates merge exactly except for quantile sketches and
-        downsampling buffers, which merge approximately (see
+        Series aggregates and quantile histograms merge exactly; only
+        the downsampling buffers merge approximately (see
         :meth:`repro.obs.timeseries.TimeSeries.merge`).
         """
         for name, n in snapshot.get("counters", {}).items():

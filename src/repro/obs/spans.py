@@ -9,7 +9,11 @@ monotonic clock (:func:`time.perf_counter`) and recorded twice:
   trace-visible, merged like every other series), and
 * into a :class:`~repro.obs.hist.HistogramSet` of log-bucketed latency
   histograms, whose exact merge is what lets per-request latency
-  survive shard fork/merge and live resharding.
+  survive shard fork/merge and live resharding, and which a live
+  ``/metrics`` scrape can read under a disabled recorder.
+
+Both land in the same latency layout (:func:`series_kind` picks it for
+every ``ms`` series), so on one shard the two agree bucket for bucket.
 
 Everything flows through the existing :class:`~repro.obs.recorder.Recorder`
 protocol — no new protocol methods — so a :class:`~repro.obs.NullRecorder`
@@ -32,10 +36,12 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .hist import HistogramSet
-from .recorder import Recorder
+
+if TYPE_CHECKING:  # the recorder module builds series through this one
+    from .recorder import Recorder
 
 __all__ = [
     "MS_SUFFIX",
@@ -43,6 +49,7 @@ __all__ = [
     "SERVE_SPAN_NAMES",
     "KNOWN_SERIES",
     "is_wall_clock_series",
+    "series_kind",
     "check_series_name",
     "SpanTracker",
 ]
@@ -59,7 +66,9 @@ SERVE_SPAN_NAMES = ("submit", "route", "queue_wait", "decide", "emit")
 
 #: Registry of every series name the codebase emits, mapped to its
 #: unit.  ``ms`` means wall-clock milliseconds (name must end ``_ms``);
-#: the naming unit test and docs/OBSERVABILITY.md stay in sync with it.
+#: the unit and the ``.cum`` suffix pick each series' quantile
+#: histogram (:func:`series_kind`).  The naming unit test and
+#: docs/OBSERVABILITY.md stay in sync with it.
 KNOWN_SERIES: dict[str, str] = {
     "admission.rejects.cum": "rejects",
     "cache.hit_rate": "ratio",
@@ -85,6 +94,23 @@ KNOWN_SERIES: dict[str, str] = {
 def is_wall_clock_series(name: str) -> bool:
     """True when ``name`` follows the wall-clock ``*_ms`` convention."""
     return name.endswith(MS_SUFFIX)
+
+
+def series_kind(name: str) -> str:
+    """What the values of series ``name`` are, which sets how it is kept.
+
+    * ``"counter"`` — names ending ``.cum``: running totals, whose
+      quantiles mean nothing;
+    * ``"latency"`` — unit ``ms`` in :data:`KNOWN_SERIES` (or, for an
+      unregistered name, the ``_ms`` suffix): wall-clock durations;
+    * ``"gauge"`` — everything else, possibly negative (policy scores).
+    """
+    if name.endswith(".cum"):
+        return "counter"
+    unit = KNOWN_SERIES.get(name)
+    if unit == "ms" or (unit is None and is_wall_clock_series(name)):
+        return "latency"
+    return "gauge"
 
 
 def check_series_name(name: str) -> list[str]:

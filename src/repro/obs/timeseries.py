@@ -1,4 +1,4 @@
-"""Bounded-memory per-step time series: buffers, sketches, sparklines.
+"""Bounded-memory per-step time series: buffers, histograms, sparklines.
 
 PR 4's counters answer "how many evictions happened?"; the questions the
 paper's figures actually pose — *when* does HEEB's hit rate converge to
@@ -18,19 +18,19 @@ by :class:`~repro.obs.recorder.CounterRecorder`:
   every ``stride``-th point and doubles the stride (thinning in place)
   whenever the budget fills, so the retained shape always spans the full
   run at uniform resolution;
-* :class:`P2Quantile`, a P²-style streaming quantile estimator (Jain &
-  Chlamtac): five markers per tracked quantile, adjusted per
-  observation, with a weighted-update extension used to merge one
-  sketch's markers into another (the parallel engine's
-  ``fork``/``merge`` path).
+* one :class:`~repro.obs.hist.LogHistogram` for quantiles, whose layout
+  follows the series kind (:func:`~repro.obs.spans.series_kind`): the
+  latency layout for ``*_ms`` series, the signed gauge layout for other
+  gauges, and none for ``.cum`` counters, whose quantiles mean nothing.
 
-Memory per series is therefore bounded by ``2 × buffer budget + O(1)``
-floats regardless of stream length.  The scalar aggregates and the
-buffer are *deterministic* in the order points arrive, which is what
-lets the batch engine reproduce a scalar run's series bit for bit (it
-replays its arrays in the same trial-major order); quantile estimates
-are deterministic too, but merged sketches are approximate — the
-parallel-engine tests pin them to a tolerance, not to equality.
+Memory per series is therefore bounded by ``2 × buffer budget`` floats
+plus the histogram's fixed bucket counts, regardless of stream length.
+The scalar aggregates and the buffer are *deterministic* in the order
+points arrive, which is what lets the batch engine reproduce a scalar
+run's series bit for bit (it replays its arrays in the same trial-major
+order).  Histograms do not depend on order at all: they merge by adding
+bucket counts, so a parallel run's merged quantiles equal the scalar
+run's exactly.
 
 :func:`sparkline` renders any value sequence as a fixed-width Unicode
 strip for the ``python -m repro.obs report --series`` tables.
@@ -38,12 +38,13 @@ strip for the ``python -m repro.obs report --series`` tables.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
+
+from .hist import LogHistogram, gauge_histogram
+from .spans import series_kind
 
 __all__ = [
     "DEFAULT_BUFFER_BUDGET",
-    "DEFAULT_QUANTILES",
-    "P2Quantile",
     "SeriesBuffer",
     "TimeSeries",
     "sparkline",
@@ -52,234 +53,8 @@ __all__ = [
 #: Default point budget of a :class:`SeriesBuffer` (~8 KB per series).
 DEFAULT_BUFFER_BUDGET = 512
 
-#: Quantiles every :class:`TimeSeries` tracks by default.  The 0.99
-#: sketch feeds the serve tier's queue-depth tail reporting
-#: (``ReplaySummary.p99_queue_depth``).
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
-
 #: Unicode blocks used by :func:`sparkline`, lowest to highest.
 _BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² marker algorithm.
-
-    Five markers track the running minimum, the target quantile ``q``,
-    the midpoints ``q/2`` and ``(1+q)/2``, and the running maximum; each
-    observation nudges the middle markers toward their desired positions
-    with a piecewise-parabolic height update.  Until five observations
-    arrive the estimate is exact (computed from the sorted buffer).
-
-    The non-standard extension here is *weighted* updates
-    (``add(x, weight=w)``), equivalent in marker-position arithmetic to
-    ``w`` repeated observations of ``x`` but O(1).  They exist for
-    :meth:`merge`: folding another sketch in feeds its five marker
-    heights, each carrying a fifth of its observation count — an
-    approximation (the donor's distribution is summarized by five
-    points) that keeps merged estimates within a few percent on smooth
-    distributions, which the parallel-engine tests pin.
-    """
-
-    __slots__ = ("q", "count", "_initial", "_heights", "_positions", "_desired")
-
-    def __init__(self, q: float):
-        """Track the ``q``-quantile, ``0 < q < 1``."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be strictly between 0 and 1")
-        self.q = q
-        self.count = 0.0
-        #: Exact ``(value, weight)`` buffer used until 5 observations
-        #: initialize the markers.  Weights are carried verbatim (no
-        #: truncation), so marker positions and ``count`` agree exactly
-        #: however fractional the weights of tiny-sketch merges are.
-        self._initial: list[tuple[float, float]] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-
-    def _init_markers(self) -> None:
-        entries = sorted(self._initial)
-        self._heights = [v for v, _ in entries]
-        positions: list[float] = []
-        cum = 0.0
-        for _, w in entries:
-            cum += w
-            positions.append(cum)
-        self._positions = positions
-        # Desired positions generalize the unit-weight seeds
-        # ``[1, 1+2q, 1+4q, 3+2q, 5]`` to total weight ``W``: the
-        # interior markers aim at the q/2, q, (1+q)/2 ranks of [1, W].
-        total = cum
-        q = self.q
-        span = total - 1.0
-        self._desired = [
-            1.0,
-            1.0 + span * q / 2.0,
-            1.0 + span * q,
-            1.0 + span * (1.0 + q) / 2.0,
-            total,
-        ]
-        self._initial = []
-
-    def add(self, x: float, weight: float = 1.0) -> None:
-        """Fold in ``x`` with multiplicity ``weight`` (default one)."""
-        if weight <= 0:
-            return
-        x = float(x)
-        weight = float(weight)
-        self.count += weight
-        if self._heights:
-            self._update(x, weight)
-            return
-        # Initial phase: buffer exact (value, weight) pairs so the five
-        # seed markers are real observations carrying their full weight.
-        self._initial.append((x, weight))
-        if len(self._initial) == 5:
-            self._init_markers()
-
-    def _update(self, x: float, weight: float) -> None:
-        h, n, d = self._heights, self._positions, self._desired
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        q = self.q
-        inc = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-        for i in range(k + 1, 5):
-            n[i] += weight
-        for i in range(5):
-            d[i] += weight * inc[i]
-        # A unit observation needs one adjustment pass; a weighted one
-        # may leave a marker several positions from its target, so
-        # passes repeat (bounded) until the markers stop moving.
-        for _ in range(max(1, min(int(weight) + 1, 16))):
-            if not self._adjust_pass():
-                break
-
-    def _adjust_pass(self) -> bool:
-        h, n, d = self._heights, self._positions, self._desired
-        moved = False
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta > 0 else -1.0
-                # Weighted adds (sketch merges) can collapse adjacent
-                # marker positions; the parabolic formula divides by
-                # both gaps, so fall back to the linear one (whose
-                # denominator the move condition keeps > 1) when either
-                # gap is closed.
-                if n[i + 1] - n[i] > 0.0 and n[i] - n[i - 1] > 0.0:
-                    candidate = self._parabolic(i, step)
-                else:
-                    candidate = self._linear(i, step)
-                if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, step)
-                h[i] = candidate
-                n[i] += step
-                moved = True
-        return moved
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> Optional[float]:
-        """Current estimate, ``None`` before any observation.
-
-        Exact while fewer than five observations have arrived.
-        """
-        if self._heights:
-            return self._heights[2]
-        if not self._initial:
-            return None
-        entries = sorted(self._initial)
-        if all(w == 1.0 for _, w in entries):
-            # Nearest-rank on the exact buffer (the historical unit-weight
-            # formula, preserved bit for bit).
-            values = [v for v, _ in entries]
-            rank = min(
-                len(values) - 1, max(0, round(self.q * (len(values) - 1)))
-            )
-            return values[rank]
-        # Weighted nearest-rank: first value whose cumulative weight
-        # reaches q * W.
-        target = self.q * self.count
-        cum = 0.0
-        for v, w in entries:
-            cum += w
-            if cum >= target:
-                return v
-        return entries[-1][0]
-
-    def state(self) -> dict:
-        """JSON-serializable state for snapshots and merging."""
-        return {
-            "q": self.q,
-            "count": self.count,
-            "initial": [[v, w] for v, w in self._initial],
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    @staticmethod
-    def _parse_initial(entries) -> list[tuple[float, float]]:
-        """Accept ``[v, w]`` pairs or the legacy bare-value format."""
-        parsed = []
-        for entry in entries:
-            if isinstance(entry, (int, float)):
-                parsed.append((float(entry), 1.0))
-            else:
-                v, w = entry
-                parsed.append((float(v), float(w)))
-        return parsed
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "P2Quantile":
-        """Rebuild a sketch from :meth:`state` output."""
-        sketch = cls(float(state["q"]))
-        sketch.count = float(state["count"])
-        sketch._initial = cls._parse_initial(state.get("initial", ()))
-        sketch._heights = [float(v) for v in state.get("heights", ())]
-        sketch._positions = [float(v) for v in state.get("positions", ())]
-        sketch._desired = [float(v) for v in state.get("desired", ())]
-        return sketch
-
-    def merge(self, state: Mapping) -> None:
-        """Fold another sketch's :meth:`state` into this one.
-
-        Exact when the donor is still in its initial phase (its raw
-        weighted values are replayed); otherwise its five markers are
-        fed as weighted observations — an approximation the tests bound.
-        """
-        donor_count = float(state.get("count", 0.0))
-        if donor_count <= 0:
-            return
-        initial = state.get("initial") or ()
-        heights = state.get("heights") or ()
-        if initial and not heights:
-            for v, w in self._parse_initial(initial):
-                self.add(v, weight=w)
-            return
-        weight = donor_count / 5.0
-        for v in heights:
-            self.add(float(v), weight=weight)
 
 
 class SeriesBuffer:
@@ -356,12 +131,25 @@ class SeriesBuffer:
         self.offered += int(state.get("offered", 0))
 
 
+def _histogram_for(name: str) -> Optional[LogHistogram]:
+    """The empty quantile histogram of series ``name``, by its kind."""
+    kind = series_kind(name)
+    if kind == "counter":
+        return None
+    if kind == "latency":
+        return LogHistogram(name)
+    return gauge_histogram(name)
+
+
 class TimeSeries:
-    """Bounded-memory aggregate of one named per-step gauge.
+    """Bounded-memory aggregate of one named per-step series.
 
     Combines exact scalar aggregates (count/sum/min/max/last — these
-    merge losslessly), a :class:`SeriesBuffer` for shape, and one
-    :class:`P2Quantile` sketch per tracked quantile.
+    merge losslessly), a :class:`SeriesBuffer` for shape, and ``hist``,
+    the :class:`~repro.obs.hist.LogHistogram` behind :meth:`quantile`.
+    ``hist`` is ``None`` for counters, and for a series restored from a
+    snapshot that predates histograms: it always covers every point or
+    does not exist.
     """
 
     __slots__ = (
@@ -373,16 +161,11 @@ class TimeSeries:
         "last_t",
         "last",
         "buffer",
-        "sketches",
+        "hist",
     )
 
-    def __init__(
-        self,
-        name: str,
-        budget: int = DEFAULT_BUFFER_BUDGET,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ):
-        """Empty series ``name`` with the given buffer/sketch shape."""
+    def __init__(self, name: str, budget: int = DEFAULT_BUFFER_BUDGET):
+        """Empty series ``name`` with a ``budget``-point buffer."""
         self.name = name
         self.count = 0
         self.total = 0.0
@@ -391,7 +174,7 @@ class TimeSeries:
         self.last_t: Optional[int] = None
         self.last: Optional[float] = None
         self.buffer = SeriesBuffer(budget)
-        self.sketches = {q: P2Quantile(q) for q in quantiles}
+        self.hist = _histogram_for(name)
 
     def add(self, t: int, value: float) -> None:
         """Fold in the point ``(t, value)``."""
@@ -405,8 +188,8 @@ class TimeSeries:
         self.last_t = t
         self.last = value
         self.buffer.add(t, value)
-        for sketch in self.sketches.values():
-            sketch.add(value)
+        if self.hist is not None:
+            self.hist.observe(value)
 
     @property
     def mean(self) -> Optional[float]:
@@ -414,11 +197,15 @@ class TimeSeries:
         return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> Optional[float]:
-        """Estimate of quantile ``q`` (must be a tracked quantile)."""
-        return self.sketches[q].value()
+        """Estimate of quantile ``q`` in [0, 1]; ``None`` without a histogram.
+
+        Within one bucket's relative width of the exact quantile, and
+        within the observed ``[min, max]``.
+        """
+        return self.hist.quantile(q) if self.hist is not None else None
 
     def snapshot(self) -> dict:
-        """Plain-dict view: aggregates, buffer state, sketch states."""
+        """Plain-dict view: aggregates, buffer state, histogram state."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -427,18 +214,19 @@ class TimeSeries:
             "last_t": self.last_t,
             "last": self.last,
             "buffer": self.buffer.state(),
-            "quantiles": {str(q): s.state() for q, s in self.sketches.items()},
+            "hist": self.hist.state() if self.hist is not None else None,
         }
 
     @classmethod
     def from_state(cls, name: str, state: Mapping) -> "TimeSeries":
-        """Rebuild a series from :meth:`snapshot` output."""
+        """Rebuild a series from :meth:`snapshot` output.
+
+        A snapshot without a ``hist`` entry (counters, and snapshots
+        that predate histograms) restores with no quantile estimate.
+        """
         buffer_state = state.get("buffer", {})
-        quantile_states = state.get("quantiles", {})
         series = cls(
-            name,
-            budget=int(buffer_state.get("budget", DEFAULT_BUFFER_BUDGET)),
-            quantiles=tuple(float(q) for q in quantile_states),
+            name, budget=int(buffer_state.get("budget", DEFAULT_BUFFER_BUDGET))
         )
         series.count = int(state.get("count", 0))
         series.total = float(state.get("sum", 0.0))
@@ -447,21 +235,27 @@ class TimeSeries:
         series.last_t = state.get("last_t")
         series.last = state.get("last")
         series.buffer = SeriesBuffer.from_state(buffer_state)
-        series.sketches = {
-            float(q): P2Quantile.from_state(s) for q, s in quantile_states.items()
-        }
+        hist_state = state.get("hist")
+        series.hist = (
+            LogHistogram.from_state(name, hist_state)
+            if hist_state is not None
+            else None
+        )
         return series
 
     def merge(self, state: Mapping) -> None:
         """Fold another series' :meth:`snapshot` into this one.
 
-        Scalar aggregates merge exactly; the buffer interleaves; sketch
-        merging is the weighted-marker approximation of
-        :meth:`P2Quantile.merge`.  The merged ``last`` is the point with
-        the larger ``t`` (ties keep ours), which makes the merge of
-        same-shaped worker series deterministic.
+        Scalar aggregates and histograms merge exactly (same-layout
+        histograms add bucket counts); the buffer interleaves.  A donor
+        with points but no histogram leaves the merge without one.  The
+        merged ``last`` is the point with the larger ``t`` (ties keep
+        ours), which makes the merge of same-shaped worker series
+        deterministic.
         """
-        self.count += int(state.get("count", 0))
+        had_points = self.count > 0
+        donor_count = int(state.get("count", 0))
+        self.count += donor_count
         self.total += float(state.get("sum", 0.0))
         other_min = state.get("min")
         if other_min is not None and (self.vmin is None or other_min < self.vmin):
@@ -475,12 +269,14 @@ class TimeSeries:
             last = state.get("last")
             self.last = float(last) if last is not None else None
         self.buffer.merge(state.get("buffer", {}))
-        for q, sketch_state in state.get("quantiles", {}).items():
-            key = float(q)
-            if key not in self.sketches:
-                self.sketches[key] = P2Quantile.from_state(sketch_state)
-            else:
-                self.sketches[key].merge(sketch_state)
+        donor_hist = state.get("hist")
+        if donor_hist is None:
+            if donor_count:
+                self.hist = None
+        elif self.hist is not None:
+            self.hist.merge(donor_hist)
+        elif not had_points:
+            self.hist = LogHistogram.from_state(self.name, donor_hist)
 
 
 def sparkline(values: Iterable[float], width: int = 48) -> str:

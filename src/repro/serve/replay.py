@@ -216,7 +216,7 @@ class ReplaySummary:
     tuples_per_sec: float
     #: High-water mark of any shard queue.
     max_queue_depth: int
-    #: P² estimates of the ``serve.queue_depth`` series quantiles —
+    #: ``serve.queue_depth`` series quantiles from its log histogram —
     #: sampled at enqueue *and* dequeue time, so drain phases count
     #: (``None`` when the recorder tracked no such series).
     p90_queue_depth: Optional[float]

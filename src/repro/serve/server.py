@@ -120,6 +120,10 @@ class Shard:
         self.backpressure_wait_seconds = 0.0
         #: High-water mark of the queue depth observed at enqueue time.
         self.max_queue_depth = 0
+        #: Events put on the queue and not yet marked done by the
+        #: worker — the queue's unfinished-task count, minus the stop
+        #: sentinel.  Zero means ``queue.join()`` would return at once.
+        self.pending = 0
         #: Recorder snapshot captured at server stop (sharded mode only).
         self.snapshot: Optional[dict] = None
         #: Worker-side span latency histograms (queue_wait/decide/emit).
@@ -520,6 +524,8 @@ class StreamServer:
                     await asyncio.sleep(delay)
             finally:
                 shard.queue.task_done()
+                if event is not _STOP:
+                    shard.pending -= 1
 
     def _raise_if_worker_failed(self, shard: Shard) -> None:
         """Surface a crashed worker instead of deadlocking producers."""
@@ -569,6 +575,7 @@ class StreamServer:
             await queue.put(
                 event + ((perf_counter() if spans_on else 0.0),)
             )
+        shard.pending += 1
         depth = queue.qsize()
         if depth > shard.max_queue_depth:
             shard.max_queue_depth = depth
@@ -707,14 +714,18 @@ class StreamServer:
     async def drain(self) -> None:
         """Block until every queued event has been applied.
 
-        Deadlock-safe: if a shard worker crashed, the failure is raised
-        here instead of waiting forever on its queue.
+        Only shards with pending events are awaited; an idle shard's
+        ``queue.join()`` would return at once, so skipping it changes
+        nothing but the cost.  Deadlock-safe: if a shard worker crashed,
+        the failure is raised here (idle shard or not) instead of
+        waiting forever on its queue.
         """
         if not self._started:
             return
         for shard in self._shards:
             self._raise_if_worker_failed(shard)
-            await self._await_or_worker_death(shard, shard.queue.join())
+            if shard.pending:
+                await self._await_or_worker_death(shard, shard.queue.join())
 
     async def stop(self) -> None:
         """Graceful shutdown: drain queues, stop workers, merge metrics.

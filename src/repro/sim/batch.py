@@ -591,8 +591,8 @@ class BatchJoinSimulator:
         Points are fed trial-major (all of trial 0's steps, then trial
         1's, …) — the exact order the scalar engine produces over the
         same trials — so the recorder's series aggregates, including the
-        order-dependent downsampling buffers and quantile sketches, come
-        out bit-identical to a scalar run.
+        order-dependent downsampling buffers, come out bit-identical to
+        a scalar run (the quantile histograms would match in any order).
         """
         assert results_log is not None
         rec = self._recorder

@@ -117,6 +117,13 @@ class TestEntryFromReport:
         assert entry["workload"]["multi_trials"] == 8
         assert "multi_length" in entry["workload"]
 
+    def test_serve_enabled_overhead_flattened_lower_is_better(self, bh):
+        report = dict(REPORT, serve={"length": 20000, "n_shards": 1,
+                                     "enabled_overhead_pct": 160.0})
+        entry = bh.entry_from_report(report, ts=1.0, sha="x")
+        assert entry["metrics"]["serve_enabled_overhead_pct"] == 160.0
+        assert bh._lower_is_better("serve_enabled_overhead_pct")
+
     def test_missing_sections_are_tolerated(self, bh):
         partial = {"workload": {}, "environment": {}, "flowexpect": REPORT["flowexpect"]}
         entry = bh.entry_from_report(partial, ts=1.0, sha="x")

@@ -26,8 +26,10 @@ from repro.obs.hist import (
     DEFAULT_GROWTH,
     DEFAULT_MIN_VALUE_MS,
     DEFAULT_N_BUCKETS,
+    GAUGE_N_BUCKETS,
     HistogramSet,
     LogHistogram,
+    gauge_histogram,
 )
 
 
@@ -86,6 +88,77 @@ class TestBucketLayout:
         assert hist.total == pytest.approx(sum(values))
         assert hist.vmin == min(values)
         assert hist.vmax == max(values)
+
+
+def _edge_values(hist: LogHistogram) -> list[float]:
+    """Every bound, the floats either side of it, and the far ends."""
+    values = [0.0, -0.0, 1e-9, -1e-9, 1e-300, -1e-300, 1e300, -1e300]
+    for i in range(hist.n_buckets):
+        b = hist.bucket_bound(i)
+        values += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+    return values
+
+
+class TestBucketIndexRule:
+    """``bucket_index`` is "first bound >= v", clamped to the overflow."""
+
+    @pytest.mark.parametrize(
+        "hist", [LogHistogram(), gauge_histogram()], ids=["latency", "gauge"]
+    )
+    def test_matches_brute_force_on_edge_values(self, hist):
+        bounds = [hist.bucket_bound(i) for i in range(hist.n_buckets)]
+        for v in _edge_values(hist):
+            expected = next(
+                (i for i, b in enumerate(bounds) if b >= v), len(bounds) - 1
+            )
+            assert hist.bucket_index(v) == expected, v
+
+
+class TestSignedLayout:
+    """The gauge layout: mirrored buckets and a zero bucket."""
+
+    def test_layout_is_mirrored_around_zero(self):
+        hist = gauge_histogram()
+        assert hist.n_buckets == GAUGE_N_BUCKETS
+        bounds = [hist.bucket_bound(i) for i in range(hist.n_buckets)]
+        zero = bounds.index(0.0)
+        negative = bounds[: zero - 1]
+        positive = bounds[zero + 1 :]
+        assert [-b for b in reversed(negative)] == positive[:-1]
+        assert bounds == sorted(bounds)
+
+    def test_only_zeros_share_the_zero_bucket(self):
+        hist = gauge_histogram()
+        zero = hist.bucket_index(0.0)
+        assert hist.bucket_index(-0.0) == zero
+        assert hist.bucket_index(math.ulp(0.0)) == zero + 1
+        assert hist.bucket_index(-math.ulp(0.0)) == zero - 1
+
+    def test_signed_layout_validated(self):
+        with pytest.raises(ValueError):
+            LogHistogram(n_buckets=6, signed=True)
+        with pytest.raises(ValueError):
+            LogHistogram(n_buckets=3, signed=True)
+
+    def test_negative_quantiles_and_extremes(self):
+        values = [-800.0, -40.0, -3.0, -0.5, 0.0, 2.0]
+        hist = filled(values, min_value=1e-6, growth=2.0**0.125,
+                      n_buckets=GAUGE_N_BUCKETS, signed=True)
+        assert hist.quantile(0.0) == -800.0
+        assert hist.quantile(1.0) == 2.0
+        assert hist.quantile(0.5) == pytest.approx(-3.0, rel=0.1)
+
+    def test_rebin_between_layouts_preserves_count(self):
+        gauge = filled([-5.0, 0.0, 3.0, 70.0], min_value=1e-6,
+                       growth=2.0**0.125, n_buckets=GAUGE_N_BUCKETS,
+                       signed=True)
+        target = LogHistogram()
+        target.merge(gauge.state())
+        assert target.count == sum(target.counts) == 4
+        back = gauge_histogram()
+        back.merge(filled([0.5, 3.0, 70.0]).state())
+        assert back.count == sum(back.counts) == 3
+        assert back.quantile(1.0) == 70.0
 
 
 class TestQuantiles:

@@ -4,10 +4,10 @@ Pins the acceptance contract of the time-series layer:
 
 * the batch engine's simulator series are **bit-identical** to the
   scalar engine's — full snapshot states including downsampling buffers
-  and quantile sketches — because batch replays its per-trial logs
+  and quantile histograms — because batch replays its per-trial logs
   trial-major in the same order the scalar loop offered them;
-* the parallel engine's sketch-merge keeps count/sum/min/max exact and
-  quantiles within sketch tolerance;
+* the parallel engine's merge keeps count/sum/min/max exact and the
+  merged quantile histograms equal the scalar run's bucket for bucket;
 * every documented emitter actually emits: simulators (occupancy,
   cumulative results/hits, hit rate), scored policies (score cutoff,
   mirrored bit-identically by the batch tier for exactly-scored
@@ -97,10 +97,13 @@ class TestBatchSeriesParity:
             scalar["cache.hit_rate"]["buffer"]["points"]
             == batch["cache.hit_rate"]["buffer"]["points"]
         )
+        # The whole snapshot, quantile histogram included.
+        assert scalar["cache.hit_rate"]["hist"] is not None
+        assert scalar["cache.hit_rate"] == batch["cache.hit_rate"]
 
 
 class TestParallelSeriesMerge:
-    """Worker sketches merge back: exact aggregates, close quantiles."""
+    """Worker series merge back exactly: aggregates and histograms."""
 
     def test_merged_aggregates_and_quantiles(self):
         spec, paths = _join_spec_and_paths()
@@ -117,15 +120,53 @@ class TestParallelSeriesMerge:
             assert p["min"] == s["min"]
             assert p["max"] == s["max"]
             assert p["sum"] == pytest.approx(s["sum"], rel=1e-12)
-        # Quantile comparison via the public TimeSeries API:
+            # Histograms merge by adding bucket counts, so the merged
+            # state equals the scalar run's (integer-valued series, so
+            # even the histogram's float sum is order-free).
+            assert p["hist"] == s["hist"], name
+        # cache.occupancy is a gauge; join.results.cum a counter.
+        assert scalar["cache.occupancy"]["hist"] is not None
+        assert scalar["join.results.cum"]["hist"] is None
         from repro.obs import TimeSeries
 
         for name in JOIN_SIM_SERIES:
             ts_s = TimeSeries.from_state(name, scalar[name])
             ts_p = TimeSeries.from_state(name, par[name])
-            spread = max(scalar[name]["max"] - scalar[name]["min"], 1e-9)
-            for q in (0.5, 0.9):
-                assert abs(ts_p.quantile(q) - ts_s.quantile(q)) < 0.1 * spread
+            for q in (0.5, 0.9, 0.99):
+                assert ts_p.quantile(q) == ts_s.quantile(q), (name, q)
+
+
+class TestServeSeriesHistogram:
+    """A span series and the span latency histogram are one estimator."""
+
+    def test_decide_series_equals_latency_histogram(self):
+        from repro.policies import make_policy
+        from repro.serve import StreamServer, run_replay
+
+        servers = []
+
+        def factory(*args, **kwargs):
+            servers.append(StreamServer(*args, **kwargs))
+            return servers[-1]
+
+        rec = CounterRecorder()
+        r = [i % 7 for i in range(300)]
+        s = [(i + 3) % 7 for i in range(300)]
+        summary = run_replay(
+            ExperimentSpec(kind="join", cache_size=4),
+            lambda: make_policy("lru"),
+            r,
+            s,
+            recorder=rec,
+            server_factory=factory,
+        )
+        name = "serve.span.decide_ms"
+        series_hist = rec.series_data[name].hist
+        live_hist = servers[0].latency_histograms()[name]
+        assert series_hist.count == live_hist.count == 300
+        assert series_hist.counts == live_hist.counts
+        assert series_hist.state() == live_hist.state()
+        assert rec.series_data[name].quantile(0.99) == summary.p99_decide_ms
 
 
 class TestEmitters:

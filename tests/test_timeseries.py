@@ -1,10 +1,16 @@
-"""Bounded-memory time-series primitives: sketches, buffers, merging.
+"""Bounded-memory time-series primitives: buffers, histograms, merging.
 
 Pins the contracts ``docs/OBSERVABILITY.md`` states for
 :mod:`repro.obs.timeseries`:
 
-* :class:`P2Quantile` is *exact* below five observations and accurate
-  (within a few percent of the true quantile) on larger streams;
+* a gauge series' quantiles come from its log histogram: every
+  ``quantile(q)`` is within one bucket's relative width of the exact
+  quantile and inside the observed ``[min, max]``, for any ``q``;
+* histogram state round-trips through JSON exactly, and merging is
+  associative and bucket-identical to the histogram of the
+  concatenated stream;
+* ``.cum`` counters keep aggregates and the buffer but no histogram,
+  and a snapshot from before histograms restores without quantiles;
 * :class:`SeriesBuffer` never exceeds its budget regardless of stream
   length, keeps an evenly-strided sample, and is deterministic in the
   order points are offered;
@@ -16,159 +22,183 @@ Pins the contracts ``docs/OBSERVABILITY.md`` states for
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.obs import P2Quantile, SeriesBuffer, TimeSeries, sparkline
+from repro.obs import LogHistogram, SeriesBuffer, TimeSeries, sparkline
+from repro.obs.hist import GAUGE_GROWTH, GAUGE_MIN_VALUE
 
-
-class TestP2Quantile:
-    """Streaming quantile sketch accuracy and mergeability."""
-
-    def test_exact_below_five_observations(self):
-        for values in ([3.0], [5.0, 1.0], [2.0, 9.0, 4.0], [7.0, 1.0, 3.0, 5.0]):
-            sketch = P2Quantile(0.5)
-            for v in values:
-                sketch.add(v)
-            ranked = sorted(values)
-            # Nearest-rank median on the tiny sorted sample.
-            k = max(0, min(len(ranked) - 1, round(0.5 * (len(ranked) - 1))))
-            assert sketch.value() == ranked[k]
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    def test_accuracy_on_large_stream(self, q):
-        rng = np.random.default_rng(7)
-        values = rng.normal(10.0, 3.0, size=5000)
-        sketch = P2Quantile(q)
-        for v in values:
-            sketch.add(float(v))
-        exact = float(np.quantile(values, q))
-        spread = float(values.max() - values.min())
-        assert abs(sketch.value() - exact) < 0.02 * spread
-
-    def test_state_round_trip(self):
-        sketch = P2Quantile(0.9)
-        for v in range(100):
-            sketch.add(float(v))
-        clone = P2Quantile.from_state(sketch.state())
-        assert clone.value() == sketch.value()
-        assert clone.state() == sketch.state()
-
-    def test_merge_approximates_union(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 100.0, size=4000)
-        full = P2Quantile(0.5)
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for i, v in enumerate(values):
-            full.add(float(v))
-            (left if i % 2 == 0 else right).add(float(v))
-        left.merge(right.state())
-        assert left.value() == pytest.approx(full.value(), rel=0.1)
-
-    def test_merge_of_tiny_donor_is_exact_replay(self):
-        base = P2Quantile(0.5)
-        donor = P2Quantile(0.5)
-        for v in (1.0, 2.0):
-            base.add(v)
-        for v in (3.0, 4.0):
-            donor.add(v)
-        base.merge(donor.state())
-        reference = P2Quantile(0.5)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            reference.add(v)
-        assert base.value() == reference.value()
+QS = (0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0)
 
 
-class TestP2QuantileFractionalWeights:
-    """Weighted observations must not lose mass in the initial phase.
-
-    Regression for the seeding bug where ``add(x, weight)`` replayed
-    ``int(weight)`` unit observations, silently dropping the fractional
-    remainder (a ``weight=0.5`` add contributed nothing at all)."""
-
-    def test_fractional_weight_counts_full_mass(self):
-        sketch = P2Quantile(0.5)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            sketch.add(v, weight=0.5)
-        assert sketch.count == pytest.approx(2.5)
-        assert sketch.value() == 3.0
-
-    def test_sub_unit_weight_is_not_dropped(self):
-        sketch = P2Quantile(0.5)
-        sketch.add(7.0, weight=0.25)
-        assert sketch.count == pytest.approx(0.25)
-        assert sketch.value() == 7.0
-
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        seed=st.integers(min_value=0, max_value=2**16),
+def _streams() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(2005)
+    mixed = np.concatenate(
+        [rng.normal(0.0, 50.0, 3000), -rng.exponential(0.01, 500),
+         np.zeros(400)]
     )
-    @settings(max_examples=60, deadline=None)
-    def test_count_position_consistency(self, weights, seed):
-        """``positions[4] == count`` whenever the markers are live, and
-        the buffered mass equals ``count`` before that — no weight is
-        ever truncated on either path."""
-        rng = np.random.default_rng(seed)
-        sketch = P2Quantile(0.5)
-        for w in weights:
-            sketch.add(float(rng.normal()), weight=w)
-        assert sketch.count == pytest.approx(sum(weights))
-        if sketch._heights:
-            assert sketch._positions[4] == pytest.approx(sketch.count)
-        else:
-            buffered = sum(w for _, w in sketch._initial)
-            assert buffered == pytest.approx(sketch.count)
+    rng.shuffle(mixed)
+    return {
+        "normal": rng.normal(10.0, 3.0, 4000),
+        "exponential": rng.exponential(2.0, 4000),
+        "mixed-sign": mixed,
+    }
 
-    @given(
-        left_weights=st.lists(
-            st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-            min_size=1,
-            max_size=4,
-        ),
-        right_weights=st.lists(
-            st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
-            min_size=1,
-            max_size=4,
-        ),
+
+def _series(name: str, values) -> TimeSeries:
+    ts = TimeSeries(name)
+    for t, v in enumerate(values):
+        ts.add(t, float(v))
+    return ts
+
+
+class TestHistogramQuantiles:
+    """Gauge quantiles from the signed log histogram."""
+
+    @pytest.mark.parametrize("stream", ["normal", "exponential", "mixed-sign"])
+    def test_within_one_bucket_of_exact(self, stream):
+        values = _streams()[stream]
+        ts = _series("scores.cutoff", values)
+        for q in QS:
+            est = ts.quantile(q)
+            # The histogram's rank rule is the inverted CDF: the
+            # estimate shares a bucket with that order statistic.
+            exact = float(np.quantile(values, q, method="inverted_cdf"))
+            tol = (GAUGE_GROWTH - 1.0) * abs(exact) + GAUGE_MIN_VALUE
+            assert abs(est - exact) <= tol, (stream, q, est, exact)
+            assert values.min() <= est <= values.max()
+        assert ts.quantile(0.0) == values.min()
+        assert ts.quantile(1.0) == values.max()
+
+    def test_zeros_have_their_own_bucket(self):
+        ts = _series("scores.cutoff", [-3.0, 0.0, 0.0, 0.0, 5.0])
+        assert ts.quantile(0.5) == 0.0
+        assert ts.hist.counts[ts.hist.bucket_index(0.0)] == 3
+        assert ts.hist.bucket_index(-1e-300) != ts.hist.bucket_index(0.0)
+        assert ts.hist.bucket_index(1e-300) != ts.hist.bucket_index(0.0)
+
+    def test_any_q_and_domain(self):
+        ts = _series("cache.occupancy", range(1, 101))
+        assert ts.quantile(0.37) == pytest.approx(37.0, rel=GAUGE_GROWTH - 1)
+        with pytest.raises(ValueError):
+            ts.quantile(1.5)
+        assert TimeSeries("cache.occupancy").quantile(0.5) is None
+
+
+class TestSeriesKinds:
+    """The histogram layout follows the series kind."""
+
+    def test_latency_series_use_the_span_layout(self):
+        hist = TimeSeries("serve.span.decide_ms").hist
+        default = LogHistogram()
+        assert hist.signed is False
+        assert hist.n_buckets == default.n_buckets
+        assert [hist.bucket_bound(i) for i in range(hist.n_buckets)] == [
+            default.bucket_bound(i) for i in range(default.n_buckets)
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["join.results.cum", "cache.hits.cum", "admission.rejects.cum"]
     )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_preserves_fractional_mass(self, left_weights, right_weights):
-        """Merging tiny sketches replays (value, weight) pairs, so the
-        union's count is the exact sum of both sides' weights."""
-        left, right = P2Quantile(0.5), P2Quantile(0.5)
-        for i, w in enumerate(left_weights):
-            left.add(float(i), weight=w)
-        for i, w in enumerate(right_weights):
-            right.add(float(10 + i), weight=w)
-        left.merge(right.state())
-        assert left.count == pytest.approx(
-            sum(left_weights) + sum(right_weights)
+    def test_counters_have_no_histogram(self, name):
+        ts = _series(name, range(10))
+        assert ts.hist is None
+        assert ts.quantile(0.5) is None
+        snap = ts.snapshot()
+        assert snap["hist"] is None
+        assert snap["last"] == 9.0 and snap["count"] == 10
+        assert len(snap["buffer"]["points"]) == 10
+
+    def test_gauges_are_signed_and_share_one_bounds_table(self):
+        a, b = TimeSeries("scores.cutoff"), TimeSeries("cache.hit_rate")
+        assert a.hist.signed and b.hist.signed
+        assert a.hist._bounds is b.hist._bounds
+
+
+class TestHistogramState:
+    """JSON round-trip and exact, associative merge."""
+
+    def test_json_round_trip_is_exact(self):
+        values = _streams()["mixed-sign"]
+        ts = _series("scores.cutoff", values)
+        clone = TimeSeries.from_state(
+            "scores.cutoff", json.loads(json.dumps(ts.snapshot()))
         )
-        assert left.value() is not None
+        assert clone.snapshot() == ts.snapshot()
+        for q in QS:
+            assert clone.quantile(q) == ts.quantile(q)
 
-    def test_weighted_state_round_trip(self):
-        sketch = P2Quantile(0.9)
-        for i in range(8):
-            sketch.add(float(i), weight=0.5 + 0.25 * i)
-        clone = P2Quantile.from_state(sketch.state())
-        assert clone.value() == sketch.value()
-        assert clone.state() == sketch.state()
+    def test_merge_is_associative_and_equals_concatenation(self):
+        values = _streams()["mixed-sign"]
+        parts = np.array_split(values, 3)
+        whole = _series("scores.cutoff", values)
 
-    def test_legacy_bare_float_state_still_loads(self):
-        # Pre-weighted snapshots stored the initial buffer as bare
-        # floats; they must round-trip as unit-weight observations.
-        sketch = P2Quantile(0.5)
-        sketch.add(1.0)
-        sketch.add(2.0)
-        state = sketch.state()
-        state["initial"] = [1.0, 2.0]
-        clone = P2Quantile.from_state(state)
-        assert clone.value() == sketch.value()
+        def merged(order):
+            acc = TimeSeries("scores.cutoff")
+            for part in order:
+                acc.merge(part.snapshot())
+            return acc
+
+        a, b, c = (_series("scores.cutoff", p) for p in parts)
+        left = merged([a, b])
+        left.merge(c.snapshot())
+        bc = merged([b, c])
+        right = TimeSeries.from_state("scores.cutoff", a.snapshot())
+        right.merge(bc.snapshot())
+        for ts in (left, right):
+            assert ts.hist.counts == whole.hist.counts
+            assert ts.hist.count == whole.hist.count
+            assert ts.hist.vmin == whole.hist.vmin
+            assert ts.hist.vmax == whole.hist.vmax
+            assert ts.hist.total == pytest.approx(whole.hist.total)
+            for q in QS:
+                assert ts.quantile(q) == whole.quantile(q)
+
+    def test_pre_histogram_snapshot_loads_without_quantiles(self):
+        # A snapshot written before histograms carried P² marker state
+        # under "quantiles"; the aggregates and buffer survive, and the
+        # series has no quantile estimate.
+        legacy = {
+            "count": 3,
+            "sum": 6.0,
+            "min": 1.0,
+            "max": 3.0,
+            "last_t": 2,
+            "last": 3.0,
+            "buffer": {
+                "budget": 512,
+                "stride": 1,
+                "offered": 3,
+                "points": [[0, 1.0], [1, 2.0], [2, 3.0]],
+            },
+            "quantiles": {
+                "0.5": {
+                    "q": 0.5,
+                    "count": 3.0,
+                    "initial": [[1.0, 1.0], [2.0, 1.0], 3.0],
+                    "heights": [],
+                    "positions": [],
+                    "desired": [],
+                }
+            },
+        }
+        ts = TimeSeries.from_state("cache.occupancy", legacy)
+        assert (ts.count, ts.total, ts.vmin, ts.vmax) == (3, 6.0, 1.0, 3.0)
+        assert (ts.last_t, ts.last) == (2, 3.0)
+        assert ts.buffer.points == [(0, 1.0), (1, 2.0), (2, 3.0)]
+        assert ts.hist is None
+        assert ts.quantile(0.5) is None
+        assert "quantiles" not in ts.snapshot()
+        # A partial histogram would misreport, so none is grown later,
+        # and merging the legacy state into a live series drops its own.
+        ts.add(3, 4.0)
+        ts.merge(_series("cache.occupancy", [5.0]).snapshot())
+        assert ts.quantile(0.5) is None and ts.count == 5
+        live = _series("cache.occupancy", [1.0, 2.0])
+        live.merge(legacy)
+        assert live.hist is None and live.count == 5
 
 
 class TestSeriesBuffer:
@@ -219,7 +249,7 @@ class TestSeriesBuffer:
 
 
 class TestTimeSeries:
-    """Combined aggregates + buffer + sketches."""
+    """Combined aggregates + buffer + histogram."""
 
     def test_exact_aggregates(self):
         ts = TimeSeries("gauge")
@@ -254,12 +284,10 @@ class TestTimeSeries:
             assert a[key] == b[key]
         # Sum is exact up to float summation order.
         assert a["sum"] == pytest.approx(b["sum"], rel=1e-12)
-        # Quantiles are sketch-merged: approximate, not exact.  Bound
-        # the error relative to the data range (the honest metric for a
-        # five-marker sketch), not the value.
-        assert abs(left.quantile(0.5) - full.quantile(0.5)) < 0.1 * (
-            b["max"] - b["min"]
-        )
+        # Histograms merge by adding bucket counts: quantiles are exact.
+        assert a["hist"]["counts"] == b["hist"]["counts"]
+        for q in (0.5, 0.9, 0.99):
+            assert left.quantile(q) == pytest.approx(full.quantile(q))
 
     def test_snapshot_is_json_serializable(self):
         import json

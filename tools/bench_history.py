@@ -168,6 +168,7 @@ def entry_from_report(
         "p99_queue_depth",
         "max_queue_depth",
         "p99_ms",
+        "enabled_overhead_pct",
     ):
         value = serve.get(key)
         if isinstance(value, (int, float)):
