@@ -64,7 +64,7 @@ def main() -> None:
     print("counters\n--------")
     print(format_metrics(recorder.snapshot()))
 
-    # 4. The trace summary (same table `python -m repro.obs` prints).
+    # 4. The trace summary (same table `python -m repro.obs report` prints).
     events = read_trace(trace_path)
     print("\ntrace summary\n-------------")
     print(format_trace_summary(summarize_trace(events)))
@@ -91,7 +91,7 @@ def main() -> None:
     print(
         "\nThe victim had the lowest estimated expected benefit H among "
         "the candidates\n(drill further with "
-        f"`python -m repro.obs {trace_path} --steps {t} {t}`)."
+        f"`python -m repro.obs report {trace_path} --steps {t} {t}`)."
     )
 
 

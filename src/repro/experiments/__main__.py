@@ -117,7 +117,7 @@ def _finish_recorder(recorder: Recorder, args: argparse.Namespace) -> None:
     if recorder.trace:
         recorder.close()  # type: ignore[attr-defined]
         print(f"\n[trace written to {args.trace}; summarize it with "
-              f"`python -m repro.obs {args.trace}`]")
+              f"`python -m repro.obs report {args.trace}`]")
     if getattr(args, "metrics", False) or getattr(args, "trace", None):
         _print("Observability counters", format_metrics(recorder.snapshot()))
 
@@ -488,7 +488,7 @@ def _add_obs(p: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="write a JSONL event trace to PATH (implies --metrics); "
-        "summarize with `python -m repro.obs PATH`",
+        "summarize with `python -m repro.obs report PATH`",
     )
     p.add_argument(
         "--progress",

@@ -6,9 +6,7 @@ Three subcommands::
     python -m repro.obs diff fast.jsonl reference.jsonl [--tol 1e-9]
     python -m repro.obs top --url http://127.0.0.1:9200 [--interval 1]
 
-For backward compatibility the original form ``python -m repro.obs
-run.jsonl`` (no subcommand) still summarizes a trace — anything that is
-not a recognized subcommand is handed to the report CLI unchanged.
+Any other first argument prints a usage line and exits with status 2.
 
 This wrapper exists so the package can be invoked directly without the
 runpy re-import warning that ``python -m repro.obs.report`` triggers
@@ -23,16 +21,20 @@ from typing import Optional, Sequence
 from . import audit, report, top
 
 
+_COMMANDS = {"report": report.main, "diff": audit.main, "top": top.main}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch to the report, diff, or top CLI."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] == "diff":
-        return audit.main(args[1:])
-    if args and args[0] == "top":
-        return top.main(args[1:])
-    if args and args[0] == "report":
-        return report.main(args[1:])
-    return report.main(args)
+    command = _COMMANDS.get(args[0]) if args else None
+    if command is None:
+        print(
+            "usage: python -m repro.obs {report|diff|top} ...",
+            file=sys.stderr,
+        )
+        return 2
+    return command(args[1:])
 
 
 if __name__ == "__main__":

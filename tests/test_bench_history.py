@@ -210,6 +210,50 @@ class TestCheck:
         assert ok and any("empty" in m for m in messages)
 
 
+def _legacy_native_entry(bh, ts):
+    """A history line as recorded before the native section was removed."""
+    entry = _entry(bh, ts=ts)
+    entry["metrics"].update(
+        native_native_ms_per_step=1.8609, native_reference_ms_per_step=1.6649
+    )
+    entry["workload"].update(
+        native_length=200,
+        native_lookahead=8,
+        native_trials=4,
+        native_available=False,
+    )
+    return entry
+
+
+class TestLegacyNativeEntries:
+    """History lines that still carry ``native_*`` metrics and workload
+    keys (the committed BENCH_history.jsonl has them) stay loadable and
+    never break the gate."""
+
+    def test_report_native_section_is_ignored(self, bh):
+        report = dict(REPORT, native={"length": 200, "native_available": False,
+                                      "native_ms_per_step": 1.86})
+        entry = bh.entry_from_report(report, ts=1.0, sha="x")
+        assert not any(k.startswith("native_") for k in entry["metrics"])
+        assert not any(k.startswith("native_") for k in entry["workload"])
+
+    def test_legacy_lines_load_and_check(self, bh, tmp_path, capsys):
+        path = tmp_path / "hist.jsonl"
+        for ts in (1.0, 2.0):
+            bh.append_entry(path, _legacy_native_entry(bh, ts))
+        entries = bh.load_history(path)
+        assert len(entries) == 2
+        assert entries[0]["metrics"]["native_reference_ms_per_step"] == 1.6649
+        # Two legacy runs share a fingerprint: native_* metrics are gated
+        # like any other lower-is-better latency.
+        assert bh.main(["--check", "--history", str(path)]) == 0
+        # A new-shape run has no native_* workload keys, so it never
+        # compares against the legacy lines: baseline building, exit 0.
+        bh.append_entry(path, _entry(bh, ts=3.0))
+        assert bh.main(["--check", "--history", str(path)]) == 0
+        assert "baseline building" in capsys.readouterr().out
+
+
 class TestCli:
     """Exit codes of the command-line gate."""
 

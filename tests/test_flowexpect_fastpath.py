@@ -26,6 +26,7 @@ from repro.flow import (
     LookaheadTemplate,
     flowexpect_decide,
     flowexpect_decide_fast,
+    solve_unit_flow,
 )
 from repro.policies.flowexpect_policy import FlowExpectPolicy
 from repro.sim.join_sim import JoinSimulator
@@ -293,3 +294,10 @@ class TestTemplate:
         ref = flowexpect_decide(candidates, 0, 1, 1, model, model)
         _assert_same_decision(fast, ref)
         assert _uids(fast.kept) == [1]  # value 1 matches with prob 0.7
+
+    def test_infeasible_amount_raises(self):
+        # The source fans out one arc per candidate: n + 1 units cannot fit.
+        template = LookaheadTemplate(2, 3)
+        cost = [-5] * len(template.tails)
+        with pytest.raises(RuntimeError, match="cannot carry 3"):
+            solve_unit_flow(template, cost, 3)

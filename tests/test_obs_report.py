@@ -196,14 +196,17 @@ class TestSeriesOutput:
         assert "matplotlib" in capsys.readouterr().err
         assert not out_png.exists()
 
-    def test_module_dispatch_back_compat(self, tmp_path, capsys):
-        # CI pins the subcommand-less invocation; both forms must agree.
+    def test_unknown_subcommand_prints_usage_and_exits_2(self, tmp_path, capsys):
+        # A bare trace path is not a subcommand: usage, exit 2, no report.
         path = tmp_path / "run.jsonl"
         _traced_run(path)
-        assert obs_main([str(path)]) == 0
-        legacy = capsys.readouterr().out
+        assert obs_main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "report|diff|top" in captured.err
+        assert captured.out == ""
+        assert obs_main([]) == 2
         assert obs_main(["report", str(path)]) == 0
-        assert capsys.readouterr().out == legacy
+        assert capsys.readouterr().out
 
 
 class TestServeSection:
