@@ -64,7 +64,7 @@ from .precompute import (
     random_walk_h1_join,
     save_tables,
 )
-from .tuples import CacheState, StreamTuple, TupleFactory
+from .tuples import CacheState, StreamTuple, TupleFactory, canonical_key
 
 __all__ = [
     "CacheState",
@@ -88,6 +88,7 @@ __all__ = [
     "ar1_transition_matrix",
     "cache_ecb_linear_uniform",
     "cache_step",
+    "canonical_key",
     "check_lifetime_properties",
     "comparable",
     "default_horizon",

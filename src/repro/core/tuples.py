@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional
 
-__all__ = ["Side", "StreamTuple", "CacheState", "TupleFactory", "partner"]
+import numpy as np
+
+__all__ = [
+    "Side",
+    "StreamTuple",
+    "CacheState",
+    "TupleFactory",
+    "canonical_key",
+    "partner",
+]
 
 #: Which stream a tuple came from.  The caching problem uses "R" for the
 #: reference stream and "S" for database (supply) tuples, mirroring the
@@ -30,6 +39,27 @@ def partner(side: Side) -> Side:
     if side == S_SIDE:
         return R_SIDE
     raise ValueError(f"unknown side {side!r}")
+
+
+def canonical_key(value: Hashable) -> Hashable:
+    """The one identity of a join value, for every hashing site.
+
+    The cache index and the join compare values with Python equality,
+    where ``1 == 1.0 == True == np.int64(1)``; hashes built on ``repr``
+    (the shard router, the count-min and bloom sketches) must agree, so
+    they hash ``repr(canonical_key(value))``.  NumPy scalars become
+    Python scalars, and bools and integral floats become ``int``;
+    everything else, Python ``int`` included, is returned unchanged.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 @dataclass(frozen=True)

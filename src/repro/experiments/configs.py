@@ -192,8 +192,8 @@ class MultiJoinConfig:
 
     All models are stationary so every tier can run the topology: the
     scalar reference, the exact batch adapters
-    (:class:`~repro.policies.batch.BatchMultiStationaryHeeb` requires
-    stationary query streams), and the serving tier.
+    (the n-way :class:`~repro.policies.batch.BatchStationaryJoinHeeb`
+    requires stationary query streams), and the serving tier.
     """
 
     name: str

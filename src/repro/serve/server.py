@@ -221,6 +221,8 @@ class StreamServer:
         self._started = False
         self._stopping = False
         self._stopped = False
+        #: The step of the last accepted tick (``None`` before the first).
+        self._last_step: Optional[int] = None
         #: Arrivals (non-"−" values) accepted by ``submit`` so far.
         self.ingested_arrivals = 0
         #: Total times any producer hit a full queue.
@@ -544,6 +546,38 @@ class StreamServer:
         if self._stopping or self._stopped:
             raise ServerClosed("server is stopping; no new events accepted")
 
+    def _check_tick(self, step: int, values) -> None:
+        """Reject a tick the simulator would mishandle, before routing.
+
+        Time must not run backwards (window clipping and the lifetime
+        estimators assume it never does), and every non-"−" value must
+        be a hashable, non-NaN key: NaN equals nothing, not even itself,
+        so it could never join, and an unhashable value cannot index the
+        cache or pick a shard.
+        """
+        last = self._last_step
+        if last is not None and step < last:
+            raise ValueError(
+                f"step {step!r} is below the last accepted step {last!r}; "
+                "ticks must arrive in nondecreasing step order"
+            )
+        for value in values:
+            if value is None:
+                continue
+            try:
+                hash(value)
+            except TypeError:
+                raise TypeError(
+                    f"step {step!r}: value {value!r} is unhashable; "
+                    "join values must be hashable keys"
+                ) from None
+            if value != value:
+                raise ValueError(
+                    f"step {step!r}: value {value!r} is NaN, which equals "
+                    "no key and can never join"
+                )
+        self._last_step = step
+
     async def _enqueue(self, shard: Shard, event: tuple) -> None:
         """Bounded put with backpressure accounting and depth telemetry.
 
@@ -602,6 +636,7 @@ class StreamServer:
                 "submit() is for join servers; use submit_reference() "
                 "or submit_multi()"
             )
+        self._check_tick(step, (r_value, s_value))
         with self._spans.span("submit", step):
             self.ingested_arrivals += (r_value is not None) + (
                 s_value is not None
@@ -632,6 +667,7 @@ class StreamServer:
         self._check_accepting()
         if self._spec.kind != "cache":
             raise ValueError("submit_reference() is for cache servers; use submit()")
+        self._check_tick(step, (value,))
         with self._spans.span("submit", step):
             if value is not None:
                 self.ingested_arrivals += 1
@@ -664,6 +700,7 @@ class StreamServer:
         unknown = set(arrivals) - set(self._names)
         if unknown:
             raise ValueError(f"arrivals for unknown streams {sorted(unknown)}")
+        self._check_tick(step, arrivals.values())
         with self._spans.span("submit", step):
             self.ingested_arrivals += sum(
                 v is not None for v in arrivals.values()

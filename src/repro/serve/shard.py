@@ -13,7 +13,10 @@ Two properties matter and are pinned by hypothesis tests
 * **determinism / totality** — every key maps to exactly one shard,
   stably across processes and runs.  Python's built-in ``hash`` is
   salted per process for strings, so routing uses a keyed BLAKE2 digest
-  of the value's ``repr`` instead.
+  of the ``repr`` of the value's
+  :func:`~repro.core.tuples.canonical_key` instead, so keys the join
+  treats as equal (``1``, ``1.0``, ``True``, ``np.int64(1)``) share a
+  shard.
 * **reshard conservation** — repartitioning cached tuples from ``N`` to
   ``M`` shards preserves the multiset of tuples (nothing duplicated,
   nothing dropped), and the result equals partitioning the union from
@@ -25,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from typing import Hashable, Iterable, Sequence
 
-from ..core.tuples import StreamTuple
+from ..core.tuples import StreamTuple, canonical_key
 
 __all__ = ["stable_hash", "ShardRouter", "partition_tuples", "reshard"]
 
@@ -33,13 +36,14 @@ __all__ = ["stable_hash", "ShardRouter", "partition_tuples", "reshard"]
 def stable_hash(value: Hashable) -> int:
     """Process-stable 64-bit hash of a join-attribute value.
 
-    Built on BLAKE2b over ``repr(value)`` so equal values — ints,
-    floats, strings, tuples — always land on the same shard regardless
-    of ``PYTHONHASHSEED``, interpreter, or machine.  ``repr`` is the
-    identity here: two values with equal ``repr`` are the same key.
+    Built on BLAKE2b over ``repr(canonical_key(value))`` so equal
+    values — ints, floats, bools, NumPy scalars, strings, tuples — always
+    land on the same shard regardless of ``PYTHONHASHSEED``,
+    interpreter, or machine.  Python ``int`` keys hash their own
+    ``repr``.
     """
     digest = hashlib.blake2b(
-        repr(value).encode("utf-8"), digest_size=8
+        repr(canonical_key(value)).encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
 

@@ -39,10 +39,11 @@ import numpy as np
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..policies.batch import (
+    BINARY_NAMES,
+    BINARY_PARTNERS,
     NONE_VALUE,
     R_CODE,
     S_CODE,
-    BatchMultiPolicy,
     BatchPolicy,
 )
 from ..streams.base import StreamModel, Value
@@ -444,6 +445,7 @@ class BatchJoinSimulator:
         k = self._cache_size
         # ≤ k survivors from the previous step plus one arrival per side.
         state = BatchState.empty(n_trials, k + 2)
+        self._policy.bind(BINARY_NAMES, BINARY_PARTNERS)
         self._policy.reset(n_trials, k + 2)
         aux = self._policy.aux_arrays()
 
@@ -469,7 +471,7 @@ class BatchJoinSimulator:
             has_s = s_vals != NONE_VALUE
             state.last_r[has_r] = r_vals[has_r]
             state.last_s[has_s] = s_vals[has_s]
-            self._policy.begin_step(state, t, r_vals, s_vals)
+            self._policy.begin_step(state, t, (r_vals, s_vals))
 
             # Sliding-window expiry: free removal of dead tuples.
             if self._window is not None:
@@ -644,6 +646,7 @@ class BatchCacheSimulator:
         n_trials, n = references.shape
         k = self._cache_size
         state = BatchState.empty(n_trials, k + 1)
+        self._policy.bind(BINARY_NAMES, BINARY_PARTNERS)
         self._policy.reset(n_trials, k + 1)
         aux = self._policy.aux_arrays()
 
@@ -664,12 +667,14 @@ class BatchCacheSimulator:
         else:
             hit_log = occ_log = None
         cutoff_log = _cutoff_log_for(self._policy, rec_on, n_trials)
+        # The two-stream topology with no S arrivals.
+        no_s = np.full(n_trials, NONE_VALUE, dtype=np.int64)
 
         for t in range(n):
             vals = references[:, t]
             has = vals != NONE_VALUE
             state.last_r[has] = vals[has]
-            self._policy.begin_step(state, t, vals, None)
+            self._policy.begin_step(state, t, (vals, no_s))
             if not has.any():
                 if occ_log is not None:
                     occ_log[:, t] = counts
@@ -782,7 +787,7 @@ class BatchCacheSimulator:
 class BatchMultiJoinSimulator:
     """Vectorized counterpart of :class:`~repro.sim.multi_join.MultiJoinSimulator`.
 
-    Takes a :class:`~repro.policies.batch.BatchMultiPolicy` (built by
+    Takes a :class:`~repro.policies.batch.BatchPolicy` (built by
     :func:`~repro.policies.batch.make_batch_policy` with
     ``kind="multi_join"``) and per-stream ``(B, n)`` value arrays; every
     step performs the scalar step function's phases — per-partner
@@ -802,7 +807,7 @@ class BatchMultiJoinSimulator:
     def __init__(
         self,
         cache_size: int,
-        policy: BatchMultiPolicy,
+        policy: BatchPolicy,
         queries: Sequence[tuple[str, str]],
         warmup: int = 0,
         recorder: Recorder = NULL_RECORDER,

@@ -18,14 +18,23 @@ from array import array
 from hashlib import blake2b
 from typing import Hashable
 
+from ..core.tuples import canonical_key
+
 __all__ = ["CountMinSketch", "value_hashes"]
 
 _COUNTER_MAX = (1 << 32) - 1
 
 
 def value_hashes(value: Hashable) -> tuple[int, int]:
-    """Two independent 64-bit hashes of ``value`` (process-stable)."""
-    digest = blake2b(repr(value).encode("utf-8"), digest_size=16).digest()
+    """Two independent 64-bit hashes of ``value`` (process-stable).
+
+    Hashes ``repr(canonical_key(value))``, so values the join treats as
+    equal count as one key in the count-min, bloom, TinyLFU and
+    admission structures built on it.
+    """
+    digest = blake2b(
+        repr(canonical_key(value)).encode("utf-8"), digest_size=16
+    ).digest()
     return (
         int.from_bytes(digest[:8], "big"),
         int.from_bytes(digest[8:], "big") | 1,

@@ -518,3 +518,67 @@ class TestSurfaceHeebExact:
             recs[0].series_data["scores.cutoff"],
             "scores.cutoff",
         )
+
+
+# ----------------------------------------------------------------------
+# The binary join is the two-stream multi-join
+# ----------------------------------------------------------------------
+class TestBinaryIsTwoStreamMultiJoin:
+    """Appendix C at the batch tier: one query between R and S.
+
+    ``kind="join"`` and ``kind="multi_join"`` with ``queries=[("R",
+    "S")]`` get the same adapter class and, on the same stationary
+    paths, the same per-trial results and occupancy — what
+    ``test_multi_binary_equivalence`` pins at the scalar tier.
+    """
+
+    FACTORIES = {
+        "rand": lambda: make_policy("rand", seed=7),
+        "lru": lambda: make_policy("lru"),
+        "prob": lambda: make_policy("prob"),
+        "lfu": lambda: make_policy("lfu"),
+        "heeb": lambda: HeebPolicy(GenericJoinHeeb(LExp(5.0), horizon=40)),
+        "trie": lambda: make_policy("trie"),
+    }
+
+    @pytest.mark.parametrize("policy_name", sorted(FACTORIES))
+    def test_join_equals_one_query_multi_join(self, policy_name):
+        from repro.policies.batch import make_batch_policy
+
+        factory = self.FACTORIES[policy_name]
+        r_model, s_model = _stationary_pair()
+        models = {"R": r_model, "S": s_model}
+        join_spec = ExperimentSpec(
+            kind="join",
+            cache_size=CACHE,
+            warmup=WARMUP,
+            r_model=r_model,
+            s_model=s_model,
+        )
+        multi_spec = ExperimentSpec(
+            kind="multi_join",
+            cache_size=CACHE,
+            warmup=WARMUP,
+            queries=(("R", "S"),),
+            models=models,
+        )
+        binary_adapter = make_batch_policy(
+            factory(), kind="join", r_model=r_model, s_model=s_model
+        )
+        multi_adapter = make_batch_policy(
+            factory(), kind="multi_join", models=models, queries=[("R", "S")]
+        )
+        assert type(binary_adapter) is type(multi_adapter)
+
+        paths = generate_paths(r_model, s_model, LENGTH, 4, seed=5)
+        binary = BatchEngine().run(join_spec, factory, paths)
+        multi = BatchEngine().run(
+            multi_spec, factory, [{"R": r, "S": s} for r, s in paths]
+        )
+        assert len(binary.per_run) == len(multi.per_run) == 4
+        for i, (a, b) in enumerate(zip(binary.per_run, multi.per_run)):
+            assert a.total_results == b.total_results, f"run {i}"
+            assert a.results_after_warmup == b.results_after_warmup, f"run {i}"
+            occ = b.occupancy_by_stream
+            np.testing.assert_array_equal(a.r_occupancy, occ["R"])
+            np.testing.assert_array_equal(a.occupancy, occ["R"] + occ["S"])
