@@ -15,7 +15,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Awaitable, Callable, Mapping, Optional, Sequence, Union
 
 from ..obs import read_trace
 from ..obs.recorder import NULL_RECORDER, CounterRecorder, Recorder
@@ -121,6 +121,29 @@ def arrivals_from_trace(
 # ----------------------------------------------------------------------
 # Producers
 # ----------------------------------------------------------------------
+async def _produce(
+    n: int, n_producers: int, submit_one: Callable[[int], Awaitable[None]]
+) -> None:
+    """Submit steps ``0 .. n-1`` from ``n_producers`` concurrent tasks.
+
+    The producers draw steps from one shared counter, each taking the
+    next step right before it awaits ``submit_one``.  The server's
+    boundary check runs before a submit's first ``await``, so accepted
+    steps stay in step order however the tasks interleave, while a full
+    shard queue still parks whichever producer hit it (backpressure).
+    """
+    steps = iter(range(n))
+
+    async def producer() -> None:
+        for t in steps:
+            await submit_one(t)
+
+    if n_producers == 1:
+        await producer()
+    else:
+        await asyncio.gather(*(producer() for _ in range(n_producers)))
+
+
 async def replay_join(
     server: StreamServer,
     r_values: Sequence[Value],
@@ -130,23 +153,19 @@ async def replay_join(
 ) -> int:
     """Push a join stream through the server with concurrent producers.
 
-    Producer ``i`` of ``P`` submits steps ``i, i + P, i + 2P, ...``
-    concurrently.  With one producer (the default) submission order is
-    exactly the simulator's step order, which keeps single-shard replay
-    deterministic; more producers demonstrate concurrent ingestion and
-    backpressure but make per-shard arrival interleaving scheduling-
-    dependent.  Returns the number of ticks submitted.
+    ``n_producers`` tasks share one step counter (see :func:`_produce`):
+    ticks are submitted in step order, but which producer submits which
+    tick, and so the order in which parked producers reach a full shard
+    queue, is scheduling-dependent.  One producer (the default) is the
+    deterministic parity configuration; more demonstrate concurrent
+    ingestion and backpressure.  Returns the number of ticks submitted.
     """
     n = min(len(r_values), len(s_values))
 
-    async def producer(offset: int) -> None:
-        for t in range(offset, n, n_producers):
-            await server.submit(t, r_values[t], s_values[t])
+    async def submit_one(t: int) -> None:
+        await server.submit(t, r_values[t], s_values[t])
 
-    if n_producers == 1:
-        await producer(0)
-    else:
-        await asyncio.gather(*(producer(i) for i in range(n_producers)))
+    await _produce(n, n_producers, submit_one)
     return n
 
 
@@ -160,20 +179,16 @@ async def replay_multi(
 
     ``streams`` maps stream name to its per-step value list; ticks are
     truncated to the shortest stream, mirroring the scalar simulator.
-    The producer-striding contract matches :func:`replay_join`.
+    The producer contract matches :func:`replay_join`.
     """
     n = min((len(v) for v in streams.values()), default=0)
 
-    async def producer(offset: int) -> None:
-        for t in range(offset, n, n_producers):
-            await server.submit_multi(
-                t, {name: streams[name][t] for name in streams}
-            )
+    async def submit_one(t: int) -> None:
+        await server.submit_multi(
+            t, {name: streams[name][t] for name in streams}
+        )
 
-    if n_producers == 1:
-        await producer(0)
-    else:
-        await asyncio.gather(*(producer(i) for i in range(n_producers)))
+    await _produce(n, n_producers, submit_one)
     return n
 
 
@@ -186,14 +201,10 @@ async def replay_reference(
     """Push a caching-problem reference stream through the server."""
     n = len(references)
 
-    async def producer(offset: int) -> None:
-        for t in range(offset, n, n_producers):
-            await server.submit_reference(t, references[t])
+    async def submit_one(t: int) -> None:
+        await server.submit_reference(t, references[t])
 
-    if n_producers == 1:
-        await producer(0)
-    else:
-        await asyncio.gather(*(producer(i) for i in range(n_producers)))
+    await _produce(n, n_producers, submit_one)
     return n
 
 

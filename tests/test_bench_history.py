@@ -124,6 +124,16 @@ class TestEntryFromReport:
         assert entry["metrics"]["serve_enabled_overhead_pct"] == 160.0
         assert bh._lower_is_better("serve_enabled_overhead_pct")
 
+    def test_serve_overhead_length_joins_the_fingerprint(self, bh):
+        def entry(overhead_length):
+            serve = {"length": 400, "n_shards": 4,
+                     "overhead_length": overhead_length,
+                     "enabled_overhead_pct": 120.0}
+            return bh.entry_from_report(dict(REPORT, serve=serve), ts=1.0, sha="x")
+
+        assert entry(2000)["workload"]["serve_overhead_length"] == 2000
+        assert bh.fingerprint_key(entry(2000)) != bh.fingerprint_key(entry(400))
+
     def test_missing_sections_are_tolerated(self, bh):
         partial = {"workload": {}, "environment": {}, "flowexpect": REPORT["flowexpect"]}
         entry = bh.entry_from_report(partial, ts=1.0, sha="x")

@@ -204,8 +204,9 @@ def entry_from_report(
         if key in batchcov:
             workload[f"batchcov_{key}"] = batchcov[key]
     # Likewise the serve bench: throughput at 4 shards on a 2000-step
-    # stream is not comparable to other shapes.
-    for key in ("length", "n_shards", "queue_maxsize"):
+    # stream is not comparable to other shapes, and the overhead
+    # replays (enabled_overhead_pct) run over their own length.
+    for key in ("length", "n_shards", "queue_maxsize", "overhead_length"):
         if key in serve:
             workload[f"serve_{key}"] = serve[key]
     # And the multi-join bench: the topology and trial count define the
